@@ -44,16 +44,20 @@ def _require_d4(g: GroupElement) -> None:
         )
 
 
-def act_on_image(g: GroupElement, img: RasterImage) -> RasterImage:
-    """Permute pixels by g: rotate counterclockwise k quarter turns, then
-    flip horizontally if g reflects.  Quarter-turn elements transpose the
-    output dimensions."""
-    _require_d4(g)
-    arr = img.array()
+def _permute(g: GroupElement, arr: np.ndarray) -> np.ndarray:
+    """Rotate counterclockwise k quarter turns, then flip horizontally if g
+    reflects."""
     out = np.rot90(arr, g.rotation_k)
     if g.reflection_j:
         out = np.fliplr(out)
-    return RasterImage.from_array(np.ascontiguousarray(out))
+    return np.ascontiguousarray(out)
+
+
+def act_on_image(g: GroupElement, img: RasterImage) -> RasterImage:
+    """Permute pixels by g (see ``_permute``).  Quarter-turn elements
+    transpose the output dimensions."""
+    _require_d4(g)
+    return RasterImage.from_array(_permute(g, img.array()))
 
 
 def act_on_keypoints(
@@ -101,10 +105,7 @@ def transform_kernel(g: GroupElement, kernel: np.ndarray) -> np.ndarray:
         raise RasterShapeError(f"kernel must be square, got shape {k.shape}")
     if k.shape[0] % 2 == 0:
         raise RasterShapeError(f"kernel side must be odd, got {k.shape[0]}")
-    out = np.rot90(k, g.rotation_k)
-    if g.reflection_j:
-        out = np.fliplr(out)
-    return np.ascontiguousarray(out)
+    return _permute(g, k)
 
 
 def kernel_bank(kernel: np.ndarray) -> list[tuple[str, np.ndarray]]:

@@ -49,7 +49,6 @@ __all__ = [
     "detect_active_aus",
     "classify_emotion",
     "activations_csv",
-    "ranking_csv",
 ]
 
 
@@ -317,11 +316,4 @@ def activations_csv(activations: list[AUActivation]) -> str:
     lines = ["au,descriptor,side,magnitude"]
     for a in activations:
         lines.append(f"{a.au.number},{a.au.descriptor},{a.side.value},{fmt(a.magnitude)}")
-    return "\n".join(lines) + "\n"
-
-
-def ranking_csv(result: ClassificationResult) -> str:
-    lines = ["emotion,score,rank"]
-    for rank, (emotion, score) in enumerate(result.ranking, start=1):
-        lines.append(f"{emotion.value},{fmt(score)},{rank}")
     return "\n".join(lines) + "\n"

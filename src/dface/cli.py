@@ -130,7 +130,11 @@ def _parse_kernel(text: str) -> np.ndarray:
 
 
 def _cmd_kernels(args, config: Config) -> int:
-    kernel = _parse_kernel(Path(args.kernel_file).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.kernel_file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"kernel file is not UTF-8 text: {exc.reason}") from None
+    kernel = _parse_kernel(text)
     bank = kernel_bank(kernel)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -177,7 +181,8 @@ def _cmd_asymmetry(args, config: Config) -> int:
     seq = _load_any_sequence(args.path)
     axes = [estimate_midline(f) for f in seq.frames]
     if args.structural:
-        sys.stdout.write(fmt(asymmetry_report(seq, axes).structural) + "\n")
+        scores = [structural_asymmetry(f, a) for f, a in zip(seq.frames, axes)]
+        sys.stdout.write(fmt(sum(scores) / len(scores)) + "\n")
     elif args.movement:
         sys.stdout.write(fmt(movement_asymmetry(seq, axes)) + "\n")
     else:
@@ -267,8 +272,6 @@ def _cmd_report(args, config: Config) -> int:
     neutral = load_frame(args.neutral) if args.neutral else seq.frames[0]
     axes = [estimate_midline(f) for f in seq.frames]
     mode = args.report_format or config.report_format
-    if mode not in ("csv", "svg", "both"):
-        raise _UsageError(f"unknown report format {mode!r}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -205,9 +205,6 @@ class FaceFrame:
     def coords(self, point_id: int) -> tuple[float, float]:
         return self.point(point_id).coords
 
-    def present_ids(self) -> tuple[int, ...]:
-        return tuple(p.point_id for p in self.points if p.present)
-
     def missing_ids(self) -> tuple[int, ...]:
         return tuple(p.point_id for p in self.points if not p.present)
 
@@ -352,7 +349,11 @@ def parse_frame(text: str) -> FaceFrame:
 
 
 def load_frame(path: str | Path) -> FaceFrame:
-    return parse_frame(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrameParseError(f"not UTF-8 text: {exc.reason}") from None
+    return parse_frame(text)
 
 
 def save_frame(path: str | Path, frame: FaceFrame) -> None:

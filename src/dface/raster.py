@@ -16,7 +16,6 @@ from math import ceil
 import numpy as np
 
 from .errors import DomainError, ImageFormatError, RasterShapeError
-from .formatting import fmt  # noqa: F401  (re-exported alongside rect_csv helpers)
 
 __all__ = [
     "RasterImage",
@@ -264,17 +263,11 @@ def canny_edges(
     bins = np.mod(np.round(angle / (np.pi / 4.0)).astype(np.int64), 4)
 
     keep = np.zeros((h, w), dtype=bool)
+    center, sector = mag[1 : h - 1, 1 : w - 1], bins[1 : h - 1, 1 : w - 1]
     for b, (dr, dc) in enumerate(_NMS_STEPS):
-        rows = np.arange(max(1, dr), h - max(1, dr))
-        cols = np.arange(max(1, abs(dc)), w - max(1, abs(dc)))
-        if rows.size == 0 or cols.size == 0:
-            continue
-        rr, cc = np.meshgrid(rows, cols, indexing="ij")
-        sel = bins[rr, cc] == b
-        center = mag[rr, cc]
-        before = mag[rr - dr, cc - dc]
-        after = mag[rr + dr, cc + dc]
-        keep[rr, cc] |= sel & (center > before) & (center >= after)
+        before = mag[1 - dr : h - 1 - dr, 1 - dc : w - 1 - dc]
+        after = mag[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc]
+        keep[1 : h - 1, 1 : w - 1] |= (sector == b) & (center > before) & (center >= after)
 
     peak = float(mag.max())
     if peak <= 0.0:

@@ -140,16 +140,32 @@ def _normalizer(frame: FaceFrame) -> float:
         raise DegenerateFaceError("no usable normalization length") from None
 
 
+def _mean(values: list[float], norm: float = 1.0) -> float:
+    """Mean of ``values`` divided by ``norm``; 0.0 when there are none.
+    ``sum`` adds left to right, so every score is reproducible bit for bit."""
+    return sum(values) / len(values) / norm if values else 0.0
+
+
+def _scores(terms: list[tuple[Region, float]], norm: float) -> tuple[float, dict[Region, float]]:
+    """The overall score of ``terms`` and the score of each region's terms."""
+    return _mean([t for _, t in terms], norm), {
+        region: _mean([t for r, t in terms if r is region], norm) for region in _REGION_ORDER
+    }
+
+
 def _structural_terms(frame: FaceFrame, axis: MidlineAxis) -> list[tuple[Region, float]]:
     """Unnormalized mismatch terms: per complete pair, the distance between
     the reflected left point and the right point; per present midline
-    point, its distance to the axis."""
+    point, its distance to the axis.  Raises InsufficientPairsError when no
+    pair is complete, before any normalization length is needed."""
     terms = []
     for left, right in LATERAL_PAIRS:
         lp, rp = frame.point(left), frame.point(right)
         if lp.present and rp.present:
             mx, my = reflect_about(axis, (lp.x, lp.y))
             terms.append((lp.region, math.hypot(mx - rp.x, my - rp.y)))
+    if not terms:
+        raise InsufficientPairsError("structural score needs at least one complete pair")
     for pid in MIDLINE_IDS:
         mp = frame.point(pid)
         if mp.present:
@@ -163,9 +179,7 @@ def structural_asymmetry(frame: FaceFrame, axis: MidlineAxis | None = None) -> f
     if axis is None:
         axis = estimate_midline(frame)
     terms = _structural_terms(frame, axis)
-    if not any(region is not Region.LIP_MIDDLE for region, _ in terms):
-        raise InsufficientPairsError("structural score needs at least one complete pair")
-    return (sum(t for _, t in terms) / len(terms)) / _normalizer(frame)
+    return _mean([t for _, t in terms], _normalizer(frame))
 
 
 def _movement_terms(
@@ -211,7 +225,7 @@ def movement_asymmetry(
     if not terms:
         raise InsufficientPairsError("movement score needs at least one tracked pair")
     ref = reference if reference is not None else seq.reference_interocular()
-    return (sum(t for _, t in terms) / len(terms)) / ref
+    return _mean([t for _, t in terms], ref)
 
 
 def reconstruct_occluded(frame: FaceFrame, axis: MidlineAxis | None = None) -> FaceFrame:
@@ -259,48 +273,32 @@ class AsymmetryReport:
     frames_used: int
 
 
-def _aggregate(terms: list[tuple[Region, float]], norm: float) -> dict[Region, float]:
-    out = {}
-    for region in _REGION_ORDER:
-        vals = [t for r, t in terms if r is region]
-        out[region] = (sum(vals) / len(vals)) / norm if vals else 0.0
-    return out
-
-
 def asymmetry_report(
     seq: FrameSequence, axes: list[MidlineAxis] | None = None
 ) -> AsymmetryReport:
     """Whole-sequence summary: structural score averaged over frames,
-    movement score over consecutive steps, split by region."""
+    movement score over consecutive steps, split by region.  A region with
+    no terms, and movement with no tracked pair, score 0.0 here, where
+    ``movement_asymmetry`` raises."""
     if axes is None:
         axes = [estimate_midline(f) for f in seq.frames]
-    structural_vals = []
-    struct_region_acc = {region: [] for region in _REGION_ORDER}
-    for frame, axis in zip(seq.frames, axes):
-        norm = _normalizer(frame)
-        terms = _structural_terms(frame, axis)
-        if not terms:
-            raise InsufficientPairsError("structural score needs at least one complete pair")
-        structural_vals.append((sum(t for _, t in terms) / len(terms)) / norm)
-        for region, value in _aggregate(terms, norm).items():
-            struct_region_acc[region].append(value)
+    frame_scores = [
+        _scores(_structural_terms(frame, axis), _normalizer(frame))
+        for frame, axis in zip(seq.frames, axes)
+    ]
 
     if len(seq.frames) >= 2:
         ref = seq.reference_interocular()
-        mv_terms = _movement_terms(seq, axes)
-        movement = (sum(t for _, t in mv_terms) / len(mv_terms)) / ref if mv_terms else 0.0
-        mv_region = _aggregate(mv_terms, ref)
+        movement, mv_region = _scores(_movement_terms(seq, axes), ref)
     else:
-        movement = 0.0
-        mv_region = {region: 0.0 for region in _REGION_ORDER}
+        movement, mv_region = 0.0, dict.fromkeys(_REGION_ORDER, 0.0)
 
     per_region = {
-        region: (sum(struct_region_acc[region]) / len(struct_region_acc[region]),
-                 mv_region[region])
+        region: (_mean([regions[region] for _, regions in frame_scores]), mv_region[region])
         for region in _REGION_ORDER
     }
     return AsymmetryReport(
-        structural=sum(structural_vals) / len(structural_vals),
+        structural=_mean([overall for overall, _ in frame_scores]),
         movement=movement,
         per_region=per_region,
         frames_used=len(seq.frames),

@@ -12,7 +12,6 @@ from dface.aus import (
     activations_csv,
     classify_emotion,
     detect_active_aus,
-    ranking_csv,
     rule_tables,
 )
 from dface.augment import act_on_keypoints
@@ -340,12 +339,3 @@ def test_activations_csv_golden():
         "4,Brow Lowerer,bilateral,0.08\n"
         "12,Lip Corner Puller,left,0.125\n"
     )
-
-
-def test_ranking_csv_golden():
-    result = classify_emotion(_fire(rule_tables(), 12))
-    text = ranking_csv(result)
-    lines = text.splitlines()
-    assert lines[0] == "emotion,score,rank"
-    assert lines[1] == "Happiness,1,1"
-    assert len(lines) == 7

@@ -7,7 +7,9 @@ from conftest import frame_with, symmetric_coords
 from dface.cli import main
 from dface.dihedral import cayley_csv
 from dface.face import build_frame, load_frame, save_frame, serialize_frame
+from dface.formatting import fmt
 from dface.raster import RasterImage, read_image, write_image
+from dface.symmetry import structural_asymmetry
 
 HAPPY_MOVES = {"14": (75.0, 134.0), "17": (125.0, 134.0)}
 
@@ -220,6 +222,36 @@ def test_asymmetry_sequence_directory(tmp_path, capsys):
     assert float(out) == pytest.approx(0.02)
 
 
+def test_asymmetry_structural_sequence_needs_no_reference(tmp_path, capsys):
+    # frame 0 lacks an eye point and there is no sequence.ini, so movement
+    # has no reference length; the mean structural score needs none
+    seqdir = tmp_path / "seq"
+    seqdir.mkdir()
+    write_frame(seqdir / "frame_0.csv", **{"9": None, "17": (127.0, 140.0)})
+    write_frame(seqdir / "frame_1.csv", **{"14": (75.0, 152.0)})
+    scores = [structural_asymmetry(load_frame(seqdir / f"frame_{i}.csv")) for i in (0, 1)]
+    code, out, err = run(capsys, "asymmetry", str(seqdir), "--structural")
+    assert code == 0 and err == ""
+    assert out == fmt(sum(scores) / 2) + "\n"
+    code, _, err = run(capsys, "asymmetry", str(seqdir))
+    assert code == 3 and err.startswith("error[missing-point]:")
+
+
+def test_asymmetry_no_tracked_pair(tmp_path, capsys):
+    # each pair is complete in one frame only: the report scores movement
+    # 0, the scalar movement score refuses
+    seqdir = tmp_path / "seq"
+    seqdir.mkdir()
+    write_frame(seqdir / "frame_0.csv", **{str(pid): None for pid in (0, 1, 2, 6, 7)})
+    write_frame(seqdir / "frame_1.csv", **{str(pid): None for pid in (8, 9, 14, 15, 16)})
+    (seqdir / "sequence.ini").write_text("[sequence]\ninterocular_ref = 60\n")
+    code, out, _ = run(capsys, "asymmetry", str(seqdir))
+    assert code == 0
+    assert "movement,all,0" in out.splitlines()
+    code, _, err = run(capsys, "asymmetry", str(seqdir), "--movement")
+    assert code == 3 and err.startswith("error[insufficient-pairs]:")
+
+
 def test_reconstruct_round_trip(tmp_path, capsys):
     frame_path = write_frame(tmp_path / "f.csv", **{"2": None})
     out_path = tmp_path / "fixed.csv"
@@ -339,6 +371,36 @@ def test_augment_require_square(tmp_path, capsys):
         capsys, "augment", str(indir), str(tmp_path / "out"), "--require-square"
     )
     assert code == 3 and err.startswith("error[shape]:")
+
+
+def write_non_utf8_frame(path):
+    text = serialize_frame(build_frame(symmetric_coords())).encode("utf-8")
+    path.write_bytes(b"\xff\xfe" + text)
+    return path
+
+
+def test_non_utf8_text_inputs_are_data_errors(tmp_path, capsys):
+    bad = write_non_utf8_frame(tmp_path / "bad.csv")
+    code, out, err = run(capsys, "midline", str(bad))
+    assert (code, out) == (3, "") and err.startswith("error[parse]:")
+    code, _, err = run(capsys, "kernels", str(bad), str(tmp_path / "bank"))
+    assert code == 3 and err.startswith("error[schema]:")
+    seqdir = tmp_path / "seq"
+    seqdir.mkdir()
+    write_non_utf8_frame(seqdir / "frame_0.csv")
+    code, _, err = run(capsys, "asymmetry", str(seqdir))
+    assert code == 3 and err.startswith("error[parse]: frame_0.csv:")
+
+
+def test_augment_skips_non_utf8_keypoints(tmp_path, capsys):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_pgm(indir / "a.pgm", np.zeros((2, 2)))
+    write_non_utf8_frame(indir / "a.csv")
+    code, out, err = run(capsys, "augment", str(indir), str(tmp_path / "out"))
+    assert code == 0
+    assert out == "processed=0 written=0 errors=1\n"
+    assert err.startswith("error[data]: a.pgm:")
 
 
 def _write_report_sequence(tmp_path):

@@ -202,6 +202,9 @@ def test_structural_needs_a_pair(base_coords):
     frame = build_frame(coords)
     with pytest.raises(InsufficientPairsError):
         structural_asymmetry(frame, axis=IDEAL_AXIS)
+    # the report applies the same guard, before it looks for a length scale
+    with pytest.raises(InsufficientPairsError):
+        asymmetry_report(FrameSequence((frame,)), [IDEAL_AXIS])
 
 
 def _two_frames(base_coords, moves):
