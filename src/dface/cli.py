@@ -9,6 +9,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -119,9 +120,12 @@ def _parse_kernel(text: str) -> np.ndarray:
             continue
         tokens = line.replace(",", " ").split()
         try:
-            rows.append([float(t) for t in tokens])
+            values = [float(t) for t in tokens]
         except ValueError:
             raise SchemaError(f"line {lineno}: bad kernel value") from None
+        if not all(math.isfinite(v) for v in values):
+            raise SchemaError(f"line {lineno}: kernel values must be finite")
+        rows.append(values)
     if not rows:
         raise SchemaError("kernel file holds no rows")
     if len({len(r) for r in rows}) != 1:
@@ -148,6 +152,9 @@ def _cmd_kernels(args, config: Config) -> int:
 def _cmd_preprocess(args, config: Config) -> int:
     img = read_image(Path(args.image).read_bytes())
     gray = to_grayscale(img)
+    # Smoothing here and again inside canny_edges is deliberate: the edges
+    # see an effective sigma of canny_sigma * sqrt(2), and dropping either
+    # pass would change the crop rectangle and the output bytes.
     smooth = gaussian_smooth(gray, config.canny_sigma)
     edges = canny_edges(smooth, config.canny_low, config.canny_high, config.canny_sigma)
     rect = bounding_rect(edges)
@@ -190,16 +197,24 @@ def _cmd_asymmetry(args, config: Config) -> int:
     return 0
 
 
+def _finite_numbers(raw: str, count: int, name: str, form: str) -> tuple[float, ...]:
+    """The ``count`` comma-separated finite numbers of option ``--<name>``."""
+    parts = raw.split(",")
+    if len(parts) != count:
+        raise _UsageError(f"--{name} takes {form}")
+    try:
+        values = tuple(float(t) for t in parts)
+    except ValueError:
+        raise _UsageError(f"bad {name} {raw!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise _UsageError(f"bad {name} {raw!r}")
+    return values
+
+
 def _parse_axis(raw: str) -> MidlineAxis | None:
     if raw == "auto":
         return None
-    parts = raw.split(",")
-    if len(parts) != 4:
-        raise _UsageError("--axis takes 'auto' or 'x,y,dx,dy'")
-    try:
-        x, y, dx, dy = (float(t) for t in parts)
-    except ValueError:
-        raise _UsageError(f"bad axis {raw!r}") from None
+    x, y, dx, dy = _finite_numbers(raw, 4, "axis", "'auto' or 'x,y,dx,dy'")
     norm = (dx * dx + dy * dy) ** 0.5
     if norm == 0.0:
         raise _UsageError("axis direction must be nonzero")
@@ -245,13 +260,7 @@ def _cmd_augment(args, config: Config) -> int:
             _element(name)
     center = None
     if args.center:
-        parts = args.center.split(",")
-        if len(parts) != 2:
-            raise _UsageError("--center takes 'x,y'")
-        try:
-            center = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise _UsageError(f"bad center {args.center!r}") from None
+        center = _finite_numbers(args.center, 2, "center", "'x,y'")
     summary = augment_dataset(
         args.indir, args.outdir,
         element_names=element_names,

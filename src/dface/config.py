@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,10 +34,14 @@ class Config:
     report_format: str = "both"
 
     def __post_init__(self):
-        if self.au_threshold <= 0:
-            raise ConfigError(f"au threshold must be positive, got {self.au_threshold}")
-        if self.canny_sigma <= 0:
-            raise ConfigError(f"canny sigma must be positive, got {self.canny_sigma}")
+        if not (math.isfinite(self.au_threshold) and self.au_threshold > 0):
+            raise ConfigError(
+                f"au threshold must be positive and finite, got {self.au_threshold}"
+            )
+        if not (math.isfinite(self.canny_sigma) and self.canny_sigma > 0):
+            raise ConfigError(
+                f"canny sigma must be positive and finite, got {self.canny_sigma}"
+            )
         if not (0 < self.canny_low < self.canny_high <= 1):
             raise ConfigError(
                 f"canny thresholds must satisfy 0 < low < high <= 1, "
@@ -74,10 +79,15 @@ def load_config(path: str | Path | None = None) -> Config:
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     try:
-        cp.read(path)
+        cp.read(path, encoding="utf-8")
+        return _config_from(cp)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {exc.reason}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
+
+def _config_from(cp: configparser.ConfigParser) -> Config:
     for section in cp.sections():
         if section not in _KNOWN:
             raise ConfigError(f"unknown config section [{section}]")

@@ -380,12 +380,13 @@ class FrameSequence:
                 raise SchemaError(
                     f"{len(self.timestamps)} timestamps for {len(self.frames)} frames"
                 )
+            if not all(math.isfinite(t) for t in self.timestamps):
+                raise SchemaError("timestamps must be finite")
             if any(b <= a for a, b in zip(self.timestamps, self.timestamps[1:])):
                 raise SchemaError("timestamps must be strictly increasing")
-        if self.interocular_ref is not None and self.interocular_ref <= 0:
-            raise SchemaError(
-                f"interocular_ref must be positive, got {self.interocular_ref}"
-            )
+        ref = self.interocular_ref
+        if ref is not None and not (math.isfinite(ref) and ref > 0):
+            raise SchemaError(f"interocular_ref must be positive and finite, got {ref}")
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -397,6 +398,13 @@ class FrameSequence:
 
 
 _FRAME_FILE = re.compile(r"frame_(\d+)\.csv$")
+
+
+def _ini_number(text: str, key: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise SchemaError(f"sequence.ini: {key} must be a number, got {text.strip()!r}") from None
 
 
 def load_sequence(directory: str | Path) -> FrameSequence:
@@ -423,15 +431,19 @@ def load_sequence(directory: str | Path) -> FrameSequence:
     ini = directory / "sequence.ini"
     if ini.exists():
         cp = configparser.ConfigParser()
-        cp.read(ini)
-        if cp.has_section("sequence"):
+        try:
+            cp.read(ini, encoding="utf-8")
             if cp.has_option("sequence", "interocular_ref"):
-                ref = cp.getfloat("sequence", "interocular_ref")
-                if ref <= 0:
-                    raise SchemaError(f"interocular_ref must be positive, got {ref}")
+                ref = _ini_number(cp.get("sequence", "interocular_ref"), "interocular_ref")
             if cp.has_option("sequence", "timestamps"):
                 raw = cp.get("sequence", "timestamps")
-                timestamps = tuple(float(t) for t in raw.split(",") if t.strip())
+                timestamps = tuple(
+                    _ini_number(t, "timestamps") for t in raw.split(",") if t.strip()
+                )
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"sequence.ini is not UTF-8 text: {exc.reason}") from None
+        except configparser.Error as exc:
+            raise SchemaError(f"malformed sequence.ini: {exc}") from None
     return FrameSequence(tuple(frames), timestamps=timestamps, interocular_ref=ref)
 
 

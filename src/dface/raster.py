@@ -9,7 +9,6 @@ binary PGM (P5) and PPM (P6) with maxval 255 are supported.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import ceil
 
@@ -220,8 +219,10 @@ _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
 _SOBEL_Y = _SOBEL_X.T
 
 # Neighbor step (drow, dcol) per gradient-direction bin: 0 horizontal
-# gradient, 1 diagonal, 2 vertical, 3 anti-diagonal.
-_NMS_STEPS = ((0, 1), (1, 1), (1, 0), (1, -1))
+# gradient, 1 diagonal, 2 vertical, 3 anti-diagonal.  With their negatives
+# they make up the 8-neighborhood, so hysteresis pairs each adjacent pixel
+# pair exactly once by stepping forward along them.
+_FORWARD_STEPS = ((0, 1), (1, 1), (1, 0), (1, -1))
 
 
 def _convolve3(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -233,9 +234,55 @@ def _convolve3(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     acc = np.zeros((h - 2, w - 2), dtype=np.float64)
     for dy in range(3):
         for dx in range(3):
-            acc += kernel[dy, dx] * plane[dy : dy + h - 2, dx : dx + w - 2]
+            # a zero tap would add a signed zero to acc, which is never -0.0
+            # and so keeps every bit; skipping it saves a full-plane pass
+            if kernel[dy, dx] != 0.0:
+                acc += kernel[dy, dx] * plane[dy : dy + h - 2, dx : dx + w - 2]
     out[1 : h - 1, 1 : w - 1] = acc
     return out
+
+
+def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
+    """Mask of the weak pixels whose 8-connected component of weak pixels
+    holds a strong one; ``strong`` must be a subset of ``weak``.
+
+    Vectorized union-find over the weak pixels: each round hooks the larger
+    of two adjacent roots to the smaller, then pointer-jumps until every
+    pixel points at its root.  Parent ids only ever fall, so it terminates.
+    """
+    h, w = weak.shape
+    n = int(np.count_nonzero(weak))
+    ids = np.full((h, w), -1, dtype=np.int32)
+    ids[weak] = np.arange(n, dtype=np.int32)
+    firsts, seconds = [], []
+    for dr, dc in _FORWARD_STEPS:
+        first = (slice(0, h - dr), slice(max(0, -dc), w - max(0, dc)))
+        second = (slice(dr, h), slice(max(0, dc), w - max(0, -dc)))
+        both = weak[first] & weak[second]
+        firsts.append(ids[first][both])
+        seconds.append(ids[second][both])
+    a, b = np.concatenate(firsts), np.concatenate(seconds)
+
+    parent = np.arange(n, dtype=np.int32)
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            break
+        # pairs already sharing a root keep sharing it, so drop them
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+    anchored = np.zeros(n, dtype=bool)
+    anchored[parent[ids[strong]]] = True
+    edges = np.zeros((h, w), dtype=bool)
+    edges[weak] = anchored[parent]
+    return edges
 
 
 def canny_edges(
@@ -245,6 +292,9 @@ def canny_edges(
     double-threshold hysteresis.
 
     ``low`` and ``high`` are fractions of the maximum gradient magnitude.
+    Pixels kept by non-maximum suppression at or above ``low`` are weak, at
+    or above ``high`` strong; hysteresis keeps the 8-connected weak
+    components that touch a strong pixel.
     When two neighbors along the gradient tie exactly, the earlier pixel in
     scan order survives, so a symmetric step yields a single edge column.
     Output is binary {0, 255} with a one-pixel zero border.
@@ -256,6 +306,7 @@ def canny_edges(
     plane = _smooth_float(img.array().astype(np.float64), sigma)
     gx = _convolve3(plane, _SOBEL_X)
     gy = _convolve3(plane, _SOBEL_Y)
+    del plane
     mag = np.hypot(gx, gy)
     h, w = mag.shape
 
@@ -264,10 +315,11 @@ def canny_edges(
 
     keep = np.zeros((h, w), dtype=bool)
     center, sector = mag[1 : h - 1, 1 : w - 1], bins[1 : h - 1, 1 : w - 1]
-    for b, (dr, dc) in enumerate(_NMS_STEPS):
+    for b, (dr, dc) in enumerate(_FORWARD_STEPS):
         before = mag[1 - dr : h - 1 - dr, 1 - dc : w - 1 - dc]
         after = mag[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc]
         keep[1 : h - 1, 1 : w - 1] |= (sector == b) & (center > before) & (center >= after)
+    del gx, gy, angle, bins, sector
 
     peak = float(mag.max())
     if peak <= 0.0:
@@ -276,21 +328,7 @@ def canny_edges(
     strong = keep & (mag >= strong_t)
     weak = keep & (mag >= weak_t)
 
-    # hysteresis: grow strong pixels through weak ones, 8-connected
-    edges = np.zeros((h, w), dtype=bool)
-    queue = deque(zip(*np.nonzero(strong)))
-    edges[strong] = True
-    while queue:
-        r, c = queue.popleft()
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == 0 and dc == 0:
-                    continue
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < h and 0 <= nc < w and weak[nr, nc] and not edges[nr, nc]:
-                    edges[nr, nc] = True
-                    queue.append((nr, nc))
-
+    edges = _hysteresis(strong, weak)
     edges[0, :] = edges[-1, :] = False
     edges[:, 0] = edges[:, -1] = False
     return RasterImage.from_array(np.where(edges, 255, 0).astype(np.uint8))

@@ -1,5 +1,7 @@
 """End-to-end command line behavior: outputs, exit codes, configuration."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,14 @@ def test_kernels_rejects_bad_file(tmp_path, capsys):
     assert code == 3 and "line 1" in err
 
 
+@pytest.mark.parametrize("text", ["1,nan\n2,3\n", "1 2\n-inf 3\n"])
+def test_kernels_rejects_non_finite_entries(tmp_path, capsys, text):
+    kfile = tmp_path / "k.csv"
+    kfile.write_text(text)
+    code, _, err = run(capsys, "kernels", str(kfile), str(tmp_path / "bank"))
+    assert code == 3 and err.startswith("error[schema]:") and "finite" in err
+
+
 def test_preprocess_square_output(tmp_path, capsys):
     arr = np.zeros((24, 20), dtype=np.uint8)
     arr[8:16, 6:14] = 255
@@ -178,6 +188,23 @@ def test_preprocess_blank_image_fails(tmp_path, capsys):
     write_pgm(src, np.full((12, 12), 60))
     code, _, err = run(capsys, "preprocess", str(src))
     assert code == 3 and err.startswith("error[domain]:")
+
+
+def test_preprocess_golden_double_smoothing(tmp_path, capsys):
+    # preprocess smooths and Canny smooths again (effective sigma 1.4 * sqrt(2));
+    # the rectangle and the output bytes pin that decision
+    rng = np.random.default_rng(4)
+    yy, xx = np.mgrid[0:90, 0:120]
+    disk = (xx - 70.0) ** 2 + (yy - 40.0) ** 2 <= 22.0 ** 2
+    arr = np.where(disk, 180, 40) + rng.integers(-25, 26, (90, 120))
+    src = tmp_path / "disk.pgm"
+    write_pgm(src, np.clip(arr, 0, 255))
+    out_path = tmp_path / "face.pgm"
+    code, out, err = run(capsys, "preprocess", str(src), "-o", str(out_path))
+    assert (code, out, err) == (0, "48,18,93,63\n", "")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "058526e2df96ef09ccbbb22f3161f452199b376611b7ed033cd58678ef861785"
+    )
 
 
 def test_midline_golden(tmp_path, capsys):
@@ -252,6 +279,34 @@ def test_asymmetry_no_tracked_pair(tmp_path, capsys):
     assert code == 3 and err.startswith("error[insufficient-pairs]:")
 
 
+@pytest.mark.parametrize(
+    "ini",
+    [
+        b"\xff\xfe[sequence]\ninterocular_ref = 60\n",
+        b"interocular_ref = 60\n",
+        b"[sequence]\ninterocular_ref = sixty\n",
+        b"[sequence]\ntimestamps = 0,x\n",
+        b"[sequence]\ntimestamps = 0%,1\n",
+        b"[sequence]\ninterocular_ref = nan\n",
+        b"[sequence]\ninterocular_ref = inf\n",
+        b"[sequence]\ntimestamps = 0,nan\n",
+        b"[sequence]\ntimestamps = 0,inf\n",
+    ],
+    ids=[
+        "non-utf8", "no-section", "ref-not-number", "timestamp-not-number",
+        "bad-interpolation", "ref-nan", "ref-inf", "timestamp-nan", "timestamp-inf",
+    ],
+)
+def test_bad_sequence_ini_is_schema_error(tmp_path, capsys, ini):
+    seqdir = tmp_path / "seq"
+    seqdir.mkdir()
+    write_frame(seqdir / "frame_0.csv")
+    write_frame(seqdir / "frame_1.csv", **HAPPY_MOVES)
+    (seqdir / "sequence.ini").write_bytes(ini)
+    code, out, err = run(capsys, "asymmetry", str(seqdir))
+    assert (code, out) == (3, "") and err.startswith("error[schema]:")
+
+
 def test_reconstruct_round_trip(tmp_path, capsys):
     frame_path = write_frame(tmp_path / "f.csv", **{"2": None})
     out_path = tmp_path / "fixed.csv"
@@ -276,6 +331,13 @@ def test_reconstruct_bad_axis(tmp_path, capsys):
     assert code == 2 and err.startswith("error[usage]:")
     code, _, err = run(capsys, "reconstruct", str(frame_path), "--axis", "1,2,0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("axis", ["100,0,nan,1", "inf,0,0,1", "100,-inf,0,1"])
+def test_reconstruct_rejects_non_finite_axis(tmp_path, capsys, axis):
+    frame_path = write_frame(tmp_path / "f.csv")
+    code, out, err = run(capsys, "reconstruct", str(frame_path), "--axis", axis)
+    assert (code, out) == (2, "") and err.startswith("error[usage]: bad axis")
 
 
 def test_reconstruct_unrecoverable(tmp_path, capsys):
@@ -361,6 +423,18 @@ def test_augment_unknown_element(tmp_path, capsys):
         "--elements", "q",
     )
     assert code == 2 and err.startswith("error[usage]:")
+
+
+@pytest.mark.parametrize("center", ["nan,100", "100,inf"])
+def test_augment_rejects_non_finite_center(tmp_path, capsys, center):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_pgm(indir / "a.pgm", np.zeros((2, 2)))
+    code, out, err = run(
+        capsys, "augment", str(indir), str(tmp_path / "out"), "--center", center
+    )
+    assert (code, out) == (2, "") and err.startswith("error[usage]: bad center")
+    assert not (tmp_path / "out").exists()
 
 
 def test_augment_require_square(tmp_path, capsys):
@@ -535,6 +609,34 @@ def test_config_invalid_value(tmp_path, capsys):
     cfg.write_text("[canny]\nlow = 0.9\nhigh = 0.2\n")
     code, _, err = run(capsys, "--config", str(cfg), "cayley", "4")
     assert code == 2 and err.startswith("error[config]:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[au]\nthreshold = nan\n",
+        "[au]\nthreshold = inf\n",
+        "[canny]\nsigma = nan\n",
+        "[canny]\nsigma = inf\n",
+        "[report]\nformat = 5%\n",
+    ],
+    ids=["threshold-nan", "threshold-inf", "sigma-nan", "sigma-inf", "bad-interpolation"],
+)
+def test_config_rejects_non_finite_and_malformed_values(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "--config", str(cfg), "cayley", "4")
+    assert (code, out) == (2, "") and err.startswith("error[config]:")
+
+
+def test_config_non_utf8_is_config_error(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"\xff\xfe[au]\nthreshold = 0.1\n")
+    code, out, err = run(capsys, "--config", str(cfg), "cayley", "4")
+    assert (code, out) == (2, "") and err.startswith("error[config]:")
+    monkeypatch.setenv("DFACE_CONFIG", str(cfg))
+    code, out, err = run(capsys, "cayley", "4")
+    assert (code, out) == (2, "") and err.startswith("error[config]:")
 
 
 def test_config_environment_fallback(tmp_path, capsys, monkeypatch):

@@ -1,16 +1,19 @@
 """Netpbm I/O, luma, smoothing, edge detection, and cropping."""
 
+import hashlib
 import math
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dface.errors import DomainError, ImageFormatError, RasterShapeError
 from dface.raster import (
     RasterImage,
     Rect,
+    _hysteresis,
     bounding_rect,
     canny_edges,
     crop,
@@ -294,6 +297,65 @@ def test_canny_hysteresis_promotes_connected_weak_pixels():
     # the promoted pixels connect to the strong ones
     rows_lenient = set(np.nonzero(lenient)[0])
     assert max(rows_lenient) > 10
+
+
+def _hysteresis_oracle(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
+    """Breadth-first growth of the strong pixels through 8-adjacent weak
+    pixels, one pixel at a time."""
+    h, w = weak.shape
+    edges = strong.copy()
+    queue = deque(zip(*np.nonzero(strong)))
+    while queue:
+        r, c = queue.popleft()
+        for nr in range(max(r - 1, 0), min(r + 2, h)):
+            for nc in range(max(c - 1, 0), min(c + 2, w)):
+                if weak[nr, nc] and not edges[nr, nc]:
+                    edges[nr, nc] = True
+                    queue.append((nr, nc))
+    return edges
+
+
+@given(
+    h=st.integers(1, 14),
+    w=st.integers(1, 14),
+    weak_p=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+    strong_p=st.sampled_from([0.0, 0.05, 0.2, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=1, w=1, weak_p=1.0, strong_p=1.0, seed=0)
+@example(h=1, w=1, weak_p=1.0, strong_p=0.0, seed=0)
+@example(h=1, w=13, weak_p=0.7, strong_p=0.2, seed=1)
+@example(h=11, w=1, weak_p=0.7, strong_p=0.2, seed=2)
+@example(h=9, w=12, weak_p=1.0, strong_p=0.05, seed=3)
+@example(h=9, w=12, weak_p=0.5, strong_p=0.0, seed=4)
+def test_hysteresis_matches_breadth_first_oracle(h, w, weak_p, strong_p, seed):
+    rng = np.random.default_rng(seed)
+    weak = rng.random((h, w)) < weak_p
+    strong = weak & (rng.random((h, w)) < strong_p)
+    assert np.array_equal(_hysteresis(strong, weak), _hysteresis_oracle(strong, weak))
+
+
+def test_hysteresis_follows_a_serpentine_chain():
+    # a single-pixel chain winding through the whole image: full rows joined
+    # by one pixel at alternating ends, grown from its end at the bottom left
+    n = 256
+    weak = np.zeros((n, n), dtype=bool)
+    weak[::2, :] = True
+    for r in range(1, n - 1, 2):
+        weak[r, n - 1 if r % 4 == 1 else 0] = True
+    strong = np.zeros_like(weak)
+    strong[n - 2, 0] = True
+    assert np.array_equal(_hysteresis(strong, weak), weak)
+    assert not _hysteresis(np.zeros_like(weak), weak).any()
+
+
+def test_canny_noise_golden():
+    # pins the edge map bytes of a dense-edge image
+    arr = np.random.default_rng(20171).integers(0, 256, (256, 256), dtype=np.uint8)
+    out = canny_edges(gray(arr), 0.1, 0.3)
+    assert hashlib.sha256(out.samples).hexdigest() == (
+        "c4c278ec3ad98c3fc5efaac6ad9f005b0d7fbd01c5beea2c15f779c89232c4e2"
+    )
 
 
 def test_bounding_rect_simple():
