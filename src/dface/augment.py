@@ -12,16 +12,17 @@ permutation realizes exactly.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dihedral import GroupElement, element_name, elements, matrix_of
 from .errors import DfaceError, RasterShapeError, UnsupportedOrderError
 from .face import FaceFrame, KeyPoint, counterpart, load_frame, save_frame
 from .raster import RasterImage, read_image, write_image
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "act_on_image",
@@ -47,6 +48,7 @@ def _require_d4(g: GroupElement) -> None:
 def _permute(g: GroupElement, arr: np.ndarray) -> np.ndarray:
     """Rotate counterclockwise k quarter turns, then flip horizontally if g
     reflects."""
+    import numpy as np
     out = np.rot90(arr, g.rotation_k)
     if g.reflection_j:
         out = np.fliplr(out)
@@ -99,6 +101,7 @@ def act_on_keypoints(
 def transform_kernel(g: GroupElement, kernel: np.ndarray) -> np.ndarray:
     """Same index permutation as the image action, applied to a square
     odd-sized convolution kernel; entry sum is preserved exactly."""
+    import numpy as np
     _require_d4(g)
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -139,6 +142,7 @@ def orbit(img: RasterImage, source_id: str = "image") -> tuple[OrbitManifest, di
     non-square image changes its shape.  The number of distinct results
     always divides eight (it is 8 / |stabilizer|).
     """
+    import hashlib
     if not img.is_square:
         raise RasterShapeError(
             f"orbit needs a square image, got {img.width}x{img.height}; "

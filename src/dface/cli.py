@@ -12,8 +12,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .augment import act_on_image, augment_dataset, kernel_bank, manifest_csv, orbit
 from .aus import (
@@ -52,7 +51,14 @@ from .symmetry import (
     structural_asymmetry,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = ["main"]
+
+# Largest n that `cayley` and `verify` accept: both do O(n^2) work, about a
+# second at 256 and ten at 1024.
+MAX_ORDER = 256
 
 
 class _UsageError(Exception):
@@ -64,8 +70,8 @@ def _positive_order(raw: str) -> int:
         n = int(raw)
     except ValueError:
         raise _UsageError(f"group order must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise _UsageError(f"group order must be >= 1, got {n}")
+    if not 1 <= n <= MAX_ORDER:
+        raise _UsageError(f"group order must be in 1..{MAX_ORDER}, got {n}")
     return n
 
 
@@ -113,6 +119,7 @@ def _cmd_orbit(args, config: Config) -> int:
 
 
 def _parse_kernel(text: str) -> np.ndarray:
+    import numpy as np
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -215,9 +222,18 @@ def _parse_axis(raw: str) -> MidlineAxis | None:
     if raw == "auto":
         return None
     x, y, dx, dy = _finite_numbers(raw, 4, "axis", "'auto' or 'x,y,dx,dy'")
-    norm = (dx * dx + dy * dy) ** 0.5
-    if norm == 0.0:
+    if dx == 0.0 and dy == 0.0:
         raise _UsageError("axis direction must be nonzero")
+    squared = dx * dx + dy * dy
+    if not sys.float_info.min <= squared < math.inf:
+        # The squares overflowed or lost bits below the normal range: scale
+        # both sides by one power of two so that the longer is in [0.5, 1).
+        # Only these directions are rescaled; the rest keep the plain
+        # expression's bits.
+        shift = -math.frexp(max(abs(dx), abs(dy)))[1]
+        dx, dy = math.ldexp(dx, shift), math.ldexp(dy, shift)
+        squared = dx * dx + dy * dy
+    norm = squared ** 0.5
     return MidlineAxis((x, y), (dx / norm, dy / norm), 0.0)
 
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ImageFormatError, RasterShapeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RasterImage",
@@ -53,6 +55,7 @@ class RasterImage:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "RasterImage":
+        import numpy as np
         a = np.asarray(arr)
         if a.ndim == 2:
             channels = 1
@@ -71,6 +74,7 @@ class RasterImage:
 
     def array(self) -> np.ndarray:
         """Read-only uint8 view, shape (h, w) or (h, w, 3)."""
+        import numpy as np
         a = np.frombuffer(self.samples, dtype=np.uint8)
         if self.channels == 1:
             return a.reshape(self.height, self.width)
@@ -176,6 +180,7 @@ def write_image(img: RasterImage) -> bytes:
 
 def to_grayscale(img: RasterImage) -> RasterImage:
     """Integer luma 0.299 R + 0.587 G + 0.114 B; a no-op on gray input."""
+    import numpy as np
     if img.channels == 1:
         return img
     rgb = img.array().astype(np.float64)
@@ -184,6 +189,7 @@ def to_grayscale(img: RasterImage) -> RasterImage:
 
 
 def _gaussian_taps(sigma: float) -> np.ndarray:
+    import numpy as np
     radius = ceil(3.0 * sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(xs ** 2) / (2.0 * sigma * sigma))
@@ -193,6 +199,7 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
 def _smooth_float(plane: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian on a float plane, symmetric-reflect border,
     fixed left-to-right tap order."""
+    import numpy as np
     taps = _gaussian_taps(sigma)
     radius = len(taps) // 2
     h, w = plane.shape
@@ -207,6 +214,7 @@ def _smooth_float(plane: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def gaussian_smooth(img: RasterImage, sigma: float) -> RasterImage:
+    import numpy as np
     if img.channels != 1:
         raise RasterShapeError("smoothing expects a single-channel image")
     if sigma <= 0:
@@ -215,8 +223,8 @@ def gaussian_smooth(img: RasterImage, sigma: float) -> RasterImage:
     return RasterImage.from_array(np.floor(smooth + 0.5).clip(0, 255).astype(np.uint8))
 
 
-_SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
-_SOBEL_Y = _SOBEL_X.T
+_SOBEL_X = ((-1.0, 0.0, 1.0), (-2.0, 0.0, 2.0), (-1.0, 0.0, 1.0))
+_SOBEL_Y = ((-1.0, -2.0, -1.0), (0.0, 0.0, 0.0), (1.0, 2.0, 1.0))
 
 # Neighbor step (drow, dcol) per gradient-direction bin: 0 horizontal
 # gradient, 1 diagonal, 2 vertical, 3 anti-diagonal.  With their negatives
@@ -225,8 +233,9 @@ _SOBEL_Y = _SOBEL_X.T
 _FORWARD_STEPS = ((0, 1), (1, 1), (1, 0), (1, -1))
 
 
-def _convolve3(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _convolve3(plane: np.ndarray, kernel: tuple[tuple[float, ...], ...]) -> np.ndarray:
     """Valid 3x3 correlation embedded back at full size, zero border."""
+    import numpy as np
     h, w = plane.shape
     out = np.zeros((h, w), dtype=np.float64)
     if h < 3 or w < 3:
@@ -236,8 +245,8 @@ def _convolve3(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         for dx in range(3):
             # a zero tap would add a signed zero to acc, which is never -0.0
             # and so keeps every bit; skipping it saves a full-plane pass
-            if kernel[dy, dx] != 0.0:
-                acc += kernel[dy, dx] * plane[dy : dy + h - 2, dx : dx + w - 2]
+            if kernel[dy][dx] != 0.0:
+                acc += kernel[dy][dx] * plane[dy : dy + h - 2, dx : dx + w - 2]
     out[1 : h - 1, 1 : w - 1] = acc
     return out
 
@@ -250,6 +259,7 @@ def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
     of two adjacent roots to the smaller, then pointer-jumps until every
     pixel points at its root.  Parent ids only ever fall, so it terminates.
     """
+    import numpy as np
     h, w = weak.shape
     n = int(np.count_nonzero(weak))
     ids = np.full((h, w), -1, dtype=np.int32)
@@ -299,6 +309,7 @@ def canny_edges(
     scan order survives, so a symmetric step yields a single edge column.
     Output is binary {0, 255} with a one-pixel zero border.
     """
+    import numpy as np
     if img.channels != 1:
         raise RasterShapeError("edge detection expects a single-channel image")
     if not (0.0 < low < high <= 1.0):
@@ -336,6 +347,7 @@ def canny_edges(
 
 def bounding_rect(edges: RasterImage) -> Rect:
     """Tightest rectangle containing every nonzero pixel."""
+    import numpy as np
     if edges.channels != 1:
         raise RasterShapeError("bounding box expects a single-channel image")
     ys, xs = np.nonzero(edges.array())
@@ -345,6 +357,7 @@ def bounding_rect(edges: RasterImage) -> Rect:
 
 
 def crop(img: RasterImage, r: Rect) -> RasterImage:
+    import numpy as np
     if r.x0 < 0 or r.y0 < 0 or r.x1 > img.width or r.y1 > img.height:
         raise RasterShapeError(
             f"rectangle ({r.csv()}) exceeds image bounds {img.width}x{img.height}"
@@ -358,6 +371,7 @@ def pad_to_square(
 ) -> tuple[RasterImage, tuple[int, int]]:
     """Center the image on a max(w, h) square canvas; returns the padded
     image and the (left, top) offset for remapping key points."""
+    import numpy as np
     if not 0 <= fill <= 255:
         raise DomainError(f"fill sample must be in [0, 255], got {fill}")
     side = max(img.width, img.height)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DegenerateFaceError,
     InsufficientFramesError,
@@ -85,6 +83,7 @@ def estimate_midline(frame: FaceFrame) -> MidlineAxis:
     fit is underdetermined and a vertical axis through that point is
     returned, flagged degenerate.
     """
+    import numpy as np
     mids = []
     for left, right in LATERAL_PAIRS:
         lp, rp = frame.point(left), frame.point(right)

@@ -1,12 +1,21 @@
 """End-to-end command line behavior: outputs, exit codes, configuration."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import frame_with, symmetric_coords
-from dface.cli import main
+import dface
+from conftest import frame_with, rigid_motion, symmetric_coords
+from dface.cli import MAX_ORDER, _parse_axis, main
 from dface.dihedral import cayley_csv
 from dface.face import build_frame, load_frame, save_frame, serialize_frame
 from dface.formatting import fmt
@@ -47,6 +56,16 @@ def test_cayley_rejects_bad_order(capsys):
     assert err.startswith("error[usage]:")
     code, _, err = run(capsys, "cayley", "four")
     assert code == 2 and "usage" in err
+
+
+@pytest.mark.parametrize("command", ["cayley", "verify"])
+def test_group_order_is_bounded(capsys, command):
+    for n in (MAX_ORDER + 1, 100000):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(n))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error[usage]: group order must be in 1..{MAX_ORDER}, got {n}\n"
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -338,6 +357,29 @@ def test_reconstruct_rejects_non_finite_axis(tmp_path, capsys, axis):
     frame_path = write_frame(tmp_path / "f.csv")
     code, out, err = run(capsys, "reconstruct", str(frame_path), "--axis", axis)
     assert (code, out) == (2, "") and err.startswith("error[usage]: bad axis")
+
+
+@pytest.mark.parametrize("direction", ["1e200,1e200", "1e-200,1e-200", "1e308,1e308"])
+def test_reconstruct_axis_direction_beyond_squaring_range(tmp_path, capsys, direction):
+    frame_path = write_frame(tmp_path / "f.csv", **{"2": None})
+    code, out, err = run(capsys, "reconstruct", str(frame_path), "--axis", f"100,0,{direction}")
+    assert (code, err) == (0, "")
+    assert ",2\n" in out.splitlines(keepends=True)[3]  # point 2 filled in, flagged reconstructed
+    assert run(capsys, "reconstruct", str(frame_path), "--axis", "100,0,1,1")[1] == out
+
+
+_normal_sides = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@given(_normal_sides, _normal_sides)
+def test_axis_direction_keeps_the_plain_expressions_bits(dx, dy):
+    squared = dx * dx + dy * dy
+    if not sys.float_info.min <= squared:
+        return  # too small to square in the normal range: rescaled instead
+    norm = squared ** 0.5
+    axis = _parse_axis(f"3,4,{dx!r},{dy!r}")
+    assert axis.point == (3.0, 4.0)
+    assert axis.direction == (dx / norm, dy / norm)
 
 
 def test_reconstruct_unrecoverable(tmp_path, capsys):
@@ -701,3 +743,63 @@ def test_config_canny_sigma_reaches_preprocess(tmp_path, capsys):
     write_pgm(src, np.zeros((8, 8)))
     code, _, err = run(capsys, "--config", str(cfg), "preprocess", str(src))
     assert code == 2 and err.startswith("error[config]:")
+
+
+# One fresh interpreter runs every array-free command, reports which of the
+# lazily imported modules it loaded, then runs `midline`, which needs numpy.
+_COLD_START = """
+import contextlib, io, json, sys
+from dface.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        return main(argv), out.getvalue()
+
+plan = json.loads(sys.argv[1])
+codes = [run(argv)[0] for argv in plan["array_free"]]
+loaded = [name for name in ("numpy", "hashlib") if name in sys.modules]
+midline = run(plan["midline"])
+print(json.dumps([codes, loaded, midline, "numpy" in sys.modules]))
+"""
+
+
+def test_array_free_commands_load_neither_numpy_nor_hashlib(tmp_path):
+    neutral = write_frame(tmp_path / "neutral.csv")
+    smile = write_frame(tmp_path / "smile.csv", **HAPPY_MOVES)
+    truncated = tmp_path / "truncated.pgm"
+    truncated.write_bytes(b"P5\n4 4\n255\n" + bytes(5))
+    bad_header = tmp_path / "bad_header.csv"
+    bad_header.write_text("id,region,oops\n", encoding="utf-8")
+    coords = rigid_motion(symmetric_coords(), 0.3, (5.0, -2.0), 1.1)
+    coords[14] = (coords[14][0] + 0.7, coords[14][1] - 0.4)
+    tilted = tmp_path / "tilted.csv"
+    save_frame(tilted, frame_with(coords))
+    plan = {
+        "array_free": [
+            ["cayley", "4"],
+            ["verify", "8"],
+            ["verify", "0"],
+            ["aus", str(neutral), str(smile)],
+            ["transform", "e", str(truncated)],
+            ["midline", str(bad_header)],
+        ],
+        "midline": ["midline", str(tilted)],
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(dface.__file__).parents[1]))
+    env.pop("DFACE_CONFIG", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, json.dumps(plan)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    codes, loaded, midline, numpy_after = json.loads(proc.stdout)
+    assert codes == [0, 0, 2, 0, 3, 3]
+    assert loaded == []
+    # the bytes printed before numpy became a lazy import
+    assert midline == [0, (
+        "point,75.8268938,141.354022\n"
+        "direction,-0.294155815,0.955757478\n"
+        "residual,0.00110700887\n"
+        "degenerate,0\n"
+    )]
+    assert numpy_after

@@ -1,4 +1,5 @@
-"""The package imports nothing beyond the standard library and numpy."""
+"""The package imports nothing beyond the standard library and numpy, and
+loads numpy and hashlib only inside the functions that use them."""
 
 import ast
 import sys
@@ -8,20 +9,56 @@ import dface
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "dface"}
 
+# Importing either costs every command about 100 ms of start-up, so they are
+# imported by the functions that need them, never when a module loads.
+LAZY = {"numpy", "hashlib"}
+
+SOURCES = sorted(Path(dface.__file__).parent.glob("*.py"))
+
+
+def _imported(node) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def _load_time_imports(tree: ast.Module) -> list[str]:
+    """Modules imported while the module itself loads: everything outside
+    function bodies and ``if TYPE_CHECKING:`` blocks."""
+    names, pending = [], list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            pending += node.orelse
+            continue
+        names += _imported(node)
+        pending += ast.iter_child_nodes(node)
+    return names
+
 
 def test_package_imports_only_stdlib_and_numpy():
-    sources = sorted(Path(dface.__file__).parent.glob("*.py"))
-    assert sources
+    assert SOURCES
     foreign = []
-    for path in sources:
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
             foreign += [
-                f"{path.name}: {name}" for name in names if name.split(".")[0] not in ALLOWED
+                f"{path.name}: {name}"
+                for name in _imported(node)
+                if name.split(".")[0] not in ALLOWED
             ]
     assert foreign == []
+
+
+def test_numpy_and_hashlib_are_not_imported_at_module_load():
+    assert SOURCES
+    eager = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in _load_time_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if name.split(".")[0] in LAZY
+    ]
+    assert eager == []
