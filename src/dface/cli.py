@@ -27,7 +27,7 @@ from .dihedral import (
     parse_element,
     verify_group_axioms,
 )
-from .errors import ConfigError, DfaceError, DomainError, SchemaError
+from .errors import ConfigError, DfaceError, DomainError, InsufficientPairsError, SchemaError
 from .face import FrameSequence, load_frame, load_sequence, serialize_frame
 from .formatting import fmt
 from .overlay import render_overlay
@@ -309,7 +309,12 @@ def _cmd_report(args, config: Config) -> int:
             else:
                 prefix = FrameSequence(seq.frames[: i + 1],
                                        interocular_ref=seq.interocular_ref)
-                cumulative = movement_asymmetry(prefix, axes[: i + 1])
+                try:
+                    cumulative = movement_asymmetry(prefix, axes[: i + 1])
+                except InsufficientPairsError:
+                    # No pair is tracked across any step yet; asymmetry_report
+                    # scores such movement 0 too.
+                    cumulative = 0.0
             rows.append(f"{i},{fmt(structural)},{fmt(cumulative)}")
         (outdir / "asymmetry.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 

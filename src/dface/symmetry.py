@@ -21,6 +21,7 @@ from .errors import (
     UnrecoverablePointError,
 )
 from .face import (
+    CANONICAL_LAYOUT,
     LATERAL_PAIRS,
     MIDLINE_IDS,
     FaceFrame,
@@ -46,6 +47,7 @@ __all__ = [
 MIN_PAIRS = 3
 
 _REGION_ORDER = (Region.EYEBROW, Region.EYE, Region.LIP_CORNER, Region.LIP_MIDDLE)
+_PAIR_REGIONS = tuple(CANONICAL_LAYOUT[left][0] for left, _ in LATERAL_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -184,19 +186,33 @@ def structural_asymmetry(frame: FaceFrame, axis: MidlineAxis | None = None) -> f
 def _movement_terms(
     seq: FrameSequence, axes: list[MidlineAxis]
 ) -> list[tuple[Region, float]]:
-    terms = []
-    for t in range(len(seq.frames) - 1):
-        a, b = seq.frames[t], seq.frames[t + 1]
+    """Per consecutive step and tracked pair (all four points present), the
+    absolute difference between the left point's displacement and that of
+    the right point mirrored about each frame's own axis.  Each frame's
+    right points are mirrored once, by ``reflect_about``'s arithmetic inlined
+    so the bits match."""
+    sides = []
+    for frame, axis in zip(seq.frames, axes):
+        pts = frame.points
+        ax, ay = axis.point
+        dx, dy = axis.direction
+        row = []
         for left, right in LATERAL_PAIRS:
-            la, lb = a.point(left), b.point(left)
-            ra, rb = a.point(right), b.point(right)
-            if not (la.present and lb.present and ra.present and rb.present):
+            lp, rp = pts[left], pts[right]
+            if lp.x is None or rp.x is None:
+                row.append(None)
                 continue
-            d_left = math.hypot(lb.x - la.x, lb.y - la.y)
-            max_, may = reflect_about(axes[t], (ra.x, ra.y))
-            mbx, mby = reflect_about(axes[t + 1], (rb.x, rb.y))
-            d_right = math.hypot(mbx - max_, mby - may)
-            terms.append((la.region, abs(d_left - d_right)))
+            vx, vy = rp.x - ax, rp.y - ay
+            t = vx * dx + vy * dy
+            row.append((lp.x, lp.y, 2.0 * t * dx - vx + ax, 2.0 * t * dy - vy + ay))
+        sides.append(row)
+    terms = []
+    for a, b in zip(sides, sides[1:]):
+        for region, pa, pb in zip(_PAIR_REGIONS, a, b):
+            if pa is not None and pb is not None:
+                d_left = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
+                d_right = math.hypot(pb[2] - pa[2], pb[3] - pa[3])
+                terms.append((region, abs(d_left - d_right)))
     return terms
 
 

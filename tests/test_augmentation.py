@@ -4,8 +4,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import frame_with
+from conftest import frame_with, symmetric_coords
 from dface.augment import (
     act_on_image,
     act_on_keypoints,
@@ -26,9 +28,11 @@ from dface.dihedral import (
     reflection,
     rotation,
 )
+from dface.aus import Side, detect_active_aus
 from dface.errors import DfaceError, RasterShapeError, UnsupportedOrderError
-from dface.face import build_frame, load_frame, save_frame
+from dface.face import LATERAL_PAIRS, FrameSequence, build_frame, load_frame, save_frame
 from dface.raster import RasterImage, read_image, write_image
+from dface.symmetry import estimate_midline, movement_asymmetry, structural_asymmetry
 
 D4 = elements(4)
 
@@ -172,6 +176,80 @@ def test_keypoint_action_inverse_round_trip(base_frame):
             bx, by = back.coords(pid)
             ox, oy = base_frame.coords(pid)
             assert abs(bx - ox) <= 1e-12 and abs(by - oy) <= 1e-12
+
+
+@st.composite
+def _face_sequences(draw):
+    """2-6 frames of the fixture face: up to 3 px of jitter per point, a
+    drawn raise of the left lip corner, and one side of up to two lateral
+    pairs occluded, so every frame keeps a midline and can be completed."""
+    frames = []
+    for _ in range(draw(st.integers(2, 6))):
+        jitter = st.tuples(st.floats(-3, 3), st.floats(-3, 3))
+        coords = {
+            pid: (x + dx, y + dy)
+            for (pid, (x, y)), (dx, dy) in zip(
+                sorted(symmetric_coords().items()),
+                draw(st.lists(jitter, min_size=24, max_size=24)),
+            )
+        }
+        lift = draw(st.floats(0, 12))
+        coords[14] = (coords[14][0], coords[14][1] - lift)
+        for pair in draw(st.sets(st.sampled_from(LATERAL_PAIRS), max_size=2)):
+            del coords[pair[draw(st.integers(0, 1))]]
+        frames.append(build_frame(coords))
+    return FrameSequence(tuple(frames), interocular_ref=draw(st.sampled_from([None, 60.0])))
+
+
+def _movement_or_error(seq, axes=None):
+    try:
+        return movement_asymmetry(seq, axes)
+    except DfaceError as exc:
+        return type(exc)
+
+
+def _same(value):
+    return value if isinstance(value, type) else pytest.approx(value, abs=1e-9)
+
+
+_MIRROR_SIDE = {Side.LEFT: Side.RIGHT, Side.RIGHT: Side.LEFT, Side.BILATERAL: Side.BILATERAL}
+
+
+@settings(max_examples=40)
+@given(_face_sequences(), st.tuples(st.floats(-50, 250), st.floats(-50, 250)))
+def test_d4_keeps_scores_and_mirror_swaps_au_sides(seq, center):
+    n = len(seq.frames)
+    structural = [pytest.approx(structural_asymmetry(f), abs=1e-9) for f in seq.frames]
+    movement = _movement_or_error(seq)
+    one_axis = _movement_or_error(seq, [estimate_midline(seq.frames[0])] * n)
+    for g in D4:
+        moved = FrameSequence(
+            tuple(act_on_keypoints(g, f, center) for f in seq.frames),
+            interocular_ref=seq.interocular_ref,
+        )
+        assert [structural_asymmetry(f) for f in moved.frames] == structural
+        assert _movement_or_error(moved, [estimate_midline(moved.frames[0])] * n) == _same(
+            one_axis
+        )
+        if not g.reflection_j:
+            assert _movement_or_error(moved) == _same(movement)
+            continue
+        # A reflection swaps which side moves in image coordinates and which
+        # is mirrored about each frame's own axis, so with per-frame axes the
+        # movement score is kept only when every frame shares one axis.
+        if g == reflection(4):
+            # The AU rules read raster rows, so only the mirror that keeps
+            # "up" (x -> -x) leaves them comparable: each activation must
+            # come back on the other side with the same magnitude.
+            for before, after in zip(seq.frames, moved.frames):
+                want = detect_active_aus(seq.frames[0], before)
+                got = detect_active_aus(moved.frames[0], after)
+                assert [(a.au.number, a.side) for a in got] == [
+                    (a.au.number, _MIRROR_SIDE[a.side]) for a in want
+                ]
+                assert [a.magnitude for a in got] == pytest.approx(
+                    [a.magnitude for a in want], abs=1e-9
+                )
 
 
 def _marker_frame(x: float, y: float):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -582,6 +583,74 @@ def test_report_reruns_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     for p in sorted(out1.iterdir()):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
+
+
+def _write_golden_sequence(seqdir):
+    """40 frames: head sway and nod, a raise of the left lip corner alone,
+    one lateral point occluded in every seventh frame, reference length 60."""
+    seqdir.mkdir()
+    for t in range(40):
+        coords = symmetric_coords()
+        lift = 9.0 * math.sin(math.pi * t / 20) ** 2
+        for pid in (14, 15, 16):
+            x, y = coords[pid]
+            coords[pid] = (x - 0.3 * lift, y - lift)
+        pose = (0.05 * math.sin(t / 6), (12 * math.sin(t / 9), 3 * math.cos(t / 5)))
+        table = {pid: (round(x, 3), round(y, 3))
+                 for pid, (x, y) in rigid_motion(coords, *pose).items()}
+        if t % 7 == 3:
+            del table[(2, 9, 17, 12)[t // 7 % 4]]
+        save_frame(seqdir / f"frame_{t}.csv", build_frame(table))
+    (seqdir / "sequence.ini").write_text("[sequence]\ninterocular_ref = 60\n")
+
+
+def test_report_and_asymmetry_golden_on_a_moving_sequence(tmp_path, capsys):
+    seqdir = tmp_path / "seq"
+    _write_golden_sequence(seqdir)
+    outdir = tmp_path / "report"
+    code, _, err = run(capsys, "report", str(seqdir), str(outdir), "--report-format", "both")
+    assert code == 0 and err == ""
+
+    def digest(*names):
+        h = hashlib.sha256()
+        for name in names:
+            h.update((outdir / name).read_bytes())
+        return h.hexdigest()
+
+    assert digest("asymmetry.csv") == (
+        "06be7c238b9b922e2c920716b37e7bf8931bbf187e62a2da4b1808317b1e5f2e"
+    )
+    assert digest("classification.csv") == (
+        "bd0679af7109be9b033992b84b68f592c3c67372465d46d6cb8915ee375d5d5a"
+    )
+    assert digest(*(f"overlay_{i}.svg" for i in range(40))) == (
+        "540b31a13c992f861aa1c65c1bec67c36a928a65b1e81df962673140e1cc867b"
+    )
+    code, out, err = run(capsys, "asymmetry", str(seqdir))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b5297d5fa437b20b6fdfd1a4ce0fbdcf9aeb96d13b276beacd9063766514c812"
+    )
+
+
+def test_report_prefix_without_tracked_pair(tmp_path, capsys):
+    # frame 0 has pairs 5-9 complete, frames 1 and 2 pairs 0-4: the first
+    # step tracks no pair, so its cumulative movement is 0, the value the
+    # asymmetry report gives such movement; the second step tracks pairs 0-4
+    seqdir = tmp_path / "seq"
+    seqdir.mkdir()
+    write_frame(seqdir / "frame_0.csv", **{str(pid): None for pid in (0, 1, 2, 6, 7)})
+    late = {str(pid): None for pid in (8, 9, 14, 15, 16)}
+    write_frame(seqdir / "frame_1.csv", **late)
+    write_frame(seqdir / "frame_2.csv", **late, **{"1": (70.0, 71.0)})
+    (seqdir / "sequence.ini").write_text("[sequence]\ninterocular_ref = 48\n")
+    outdir = tmp_path / "report"
+    code, _, err = run(capsys, "report", str(seqdir), str(outdir), "--report-format", "csv")
+    assert code == 0 and err == ""
+    code, movement, _ = run(capsys, "asymmetry", str(seqdir), "--movement")
+    assert code == 0 and float(movement) > 0.0
+    rows = [row.split(",") for row in (outdir / "asymmetry.csv").read_text().splitlines()[1:]]
+    assert [cumulative for _, _, cumulative in rows] == ["0", "0", movement.strip()]
 
 
 def test_config_threshold_changes_classification(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Midline fitting, reflection, asymmetry scores, and occlusion recovery."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import AXIS_X, IOD, frame_with, rigid_motion, symmetric_coords
+from dface import symmetry
 from dface.dihedral import GroupElement, matrix_of
 from dface.errors import (
+    DfaceError,
     InsufficientFramesError,
     InsufficientPairsError,
     SchemaError,
@@ -342,3 +345,82 @@ def test_report_single_frame(base_frame):
     report = asymmetry_report(FrameSequence((base_frame,)))
     assert report.movement == 0.0
     assert report.frames_used == 1
+
+
+def _movement_terms_per_step(seq, axes):
+    """The per-step loop ``_movement_terms`` replaced, kept as its oracle:
+    four point lookups and two reflections per pair and step."""
+    terms = []
+    for t in range(len(seq.frames) - 1):
+        a, b = seq.frames[t], seq.frames[t + 1]
+        for left, right in LATERAL_PAIRS:
+            la, lb = a.point(left), b.point(left)
+            ra, rb = a.point(right), b.point(right)
+            if not (la.present and lb.present and ra.present and rb.present):
+                continue
+            d_left = math.hypot(lb.x - la.x, lb.y - la.y)
+            max_, may = reflect_about(axes[t], (ra.x, ra.y))
+            mbx, mby = reflect_about(axes[t + 1], (rb.x, rb.y))
+            d_right = math.hypot(mbx - max_, mby - may)
+            terms.append((la.region, abs(d_left - d_right)))
+    return terms
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DfaceError as exc:
+        return type(exc), str(exc)
+
+
+_COORD = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_AXIS = st.one_of(
+    st.builds(
+        lambda x, y, a: MidlineAxis((x, y), (math.cos(a), math.sin(a)), 0.0),
+        _COORD, _COORD, st.floats(0.0, 2 * math.pi),
+    ),
+    st.builds(lambda x, y: MidlineAxis((x, y), (0.0, 1.0), 0.0, degenerate=True), _COORD, _COORD),
+)
+
+
+@st.composite
+def _occluded_sequences(draw):
+    """2-8 frames of arbitrary points, each present with a drawn
+    probability (so some steps track no pair), plus one axis per frame."""
+    n = draw(st.integers(2, 8))
+    keep = draw(st.sampled_from([0.3, 0.7, 0.95]))
+    frames = []
+    for _ in range(n):
+        present = draw(st.lists(st.floats(0, 1), min_size=24, max_size=24))
+        coords = draw(st.lists(st.tuples(_COORD, _COORD), min_size=24, max_size=24))
+        frames.append(build_frame([xy if u < keep else None for xy, u in zip(coords, present)]))
+    ref = draw(st.one_of(st.none(), st.floats(1.0, 200.0)))
+    axes = draw(st.lists(_AXIS, min_size=n, max_size=n))
+    return FrameSequence(tuple(frames), interocular_ref=ref), axes
+
+
+@given(_occluded_sequences())
+def test_movement_terms_match_per_step_oracle(case):
+    seq, axes = case
+    assert symmetry._movement_terms(seq, axes) == _movement_terms_per_step(seq, axes)
+    new_movement = _outcome(movement_asymmetry, seq, axes)
+    new_report = _outcome(asymmetry_report, seq, axes)
+    with mock.patch.object(symmetry, "_movement_terms", _movement_terms_per_step):
+        assert new_movement == _outcome(movement_asymmetry, seq, axes)
+        assert new_report == _outcome(asymmetry_report, seq, axes)
+
+
+def test_movement_terms_oracle_covers_untracked_steps(base_coords):
+    # step 0->1 tracks no pair, step 1->2 tracks pairs 0-4
+    early = {pid for pair in LATERAL_PAIRS[:5] for pid in pair}
+    first = build_frame({p: xy for p, xy in base_coords.items() if p not in early})
+    later = build_frame({p: xy for p, xy in base_coords.items() if p in early})
+    moved = dict(base_coords)
+    moved[1] = (moved[1][0], moved[1][1] - 4.0)
+    last = build_frame({p: xy for p, xy in moved.items() if p in early})
+    seq = FrameSequence((first, later, last), interocular_ref=IOD)
+    axes = [IDEAL_AXIS, MidlineAxis((100.0, 0.0), (0.0, 1.0), 0.0, degenerate=True), IDEAL_AXIS]
+    terms = symmetry._movement_terms(seq, axes)
+    assert terms == _movement_terms_per_step(seq, axes)
+    assert [r for r, _ in terms] == [Region.EYEBROW] * 3 + [Region.EYE] * 2
+    assert movement_asymmetry(seq, axes) == 4.0 / 5 / IOD
