@@ -56,8 +56,8 @@ if TYPE_CHECKING:
 
 __all__ = ["main"]
 
-# Largest n that `cayley` and `verify` accept: both do O(n^2) work, about a
-# second at 256 and ten at 1024.
+# Largest n that `cayley` and `verify` accept: both do O(n^2) work, about
+# 0.17 s end to end at 256 and over a second in-process at 1024.
 MAX_ORDER = 256
 
 

@@ -89,6 +89,18 @@ def reflection(n: int, k: int = 0) -> GroupElement:
     return GroupElement(n, 1, k)
 
 
+def _pair(g: GroupElement) -> tuple[int, int]:
+    return g.reflection_j, g.rotation_k
+
+
+def _product(n: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The product rule on ``(j, k)`` pairs, each standing for ``s^j r^k``."""
+    (ja, ka), (jb, kb) = a, b
+    if jb:
+        return ja ^ 1, (kb - ka) % n
+    return ja, (ka + kb) % n
+
+
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """Product ``a * b``, reduced to canonical form.
 
@@ -99,11 +111,7 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
         raise DomainError(
             f"cannot compose elements of different orders: D{a.order_n} and D{b.order_n}"
         )
-    if b.reflection_j:
-        k = b.rotation_k - a.rotation_k
-    else:
-        k = a.rotation_k + b.rotation_k
-    return GroupElement(a.order_n, a.reflection_j ^ b.reflection_j, k % a.order_n)
+    return GroupElement(a.order_n, *_product(a.order_n, _pair(a), _pair(b)))
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -128,24 +136,14 @@ def elements(n: int) -> list[GroupElement]:
     reflections by increasing k."""
     if n < 1:
         raise DomainError(f"dihedral order must be >= 1, got {n}")
-    rots = [GroupElement(n, 0, k) for k in range(n)]
-    refs = [GroupElement(n, 1, k) for k in range(n)]
-    return rots + refs
+    return [GroupElement(n, j, k) for j in (0, 1) for k in range(n)]
 
 
 def element_name(g: GroupElement) -> str:
     """Canonical name: e, r, r2, ... and s, sr, sr2, ..."""
-    if g.reflection_j == 0:
-        if g.rotation_k == 0:
-            return "e"
-        if g.rotation_k == 1:
-            return "r"
-        return f"r{g.rotation_k}"
-    if g.rotation_k == 0:
-        return "s"
-    if g.rotation_k == 1:
-        return "sr"
-    return f"sr{g.rotation_k}"
+    k = g.rotation_k
+    rotation_part = "" if k == 0 else "r" if k == 1 else f"r{k}"
+    return "s" + rotation_part if g.reflection_j else rotation_part or "e"
 
 
 def parse_element(n: int, name: str) -> GroupElement:
@@ -158,16 +156,10 @@ def parse_element(n: int, name: str) -> GroupElement:
         if alias is not None:
             return GroupElement(4, *alias)
     text = name.strip()
-    j = 0
-    if text.startswith("s"):
-        j = 1
-        text = text[1:]
-    if text == "e" and j == 0:
-        return GroupElement(n, 0, 0)
-    if text == "":
-        if j:
-            return GroupElement(n, 1, 0)
-        raise DomainError(f"unknown element name {name!r}")
+    j = int(text.startswith("s"))
+    text = text[j:]
+    if text == ("" if j else "e"):
+        return GroupElement(n, j, 0)
     if text == "r":
         return GroupElement(n, j, 1)
     if text.startswith("r") and text[1:].isdigit():
@@ -226,15 +218,15 @@ def matrix_of(g: GroupElement) -> TransformMatrix:
 
 
 def cayley_table(n: int) -> list[list[GroupElement]]:
-    """table[i][j] = elements(n)[i] * elements(n)[j]."""
+    """table[i][j] = elements(n)[i] * elements(n)[j]; any n >= 1."""
     els = elements(n)
     return [[compose(a, b) for b in els] for a in els]
 
 
 def cayley_csv(n: int) -> str:
-    """Plain 2n x 2n CSV of canonical element names, no header."""
-    rows = cayley_table(n)
-    return "\n".join(",".join(element_name(g) for g in row) for row in rows) + "\n"
+    """Plain 2n x 2n CSV of canonical element names, no header; any n >= 1."""
+    names = {_pair(g): g.name for g in elements(n)}
+    return "".join(",".join([names[_product(n, a, b)] for b in names]) + "\n" for a in names)
 
 
 @dataclass(frozen=True)
@@ -272,9 +264,12 @@ def verify_group_axioms(n: int) -> AxiomReport:
     identities r^n = e, s r^k s = r^(-k), (s r^k)^2 = e.
 
     Associativity is exhaustive up to n = 8 and sampled (fixed seed) above.
+    Any n >= 1 is accepted: the work grows as n^2, and only the CLI caps n.
     """
     els = elements(n)
-    e = identity(n)
+    names = {_pair(g): g.name for g in els}
+    pairs = list(names)
+    e = (0, 0)
     checks: list[AxiomCheck] = []
     violations: list[AxiomViolation] = []
 
@@ -293,61 +288,59 @@ def verify_group_axioms(n: int) -> AxiomReport:
         f"{2 * n} distinct elements",
     )
 
-    el_set = set(els)
     bad = [
-        AxiomViolation("closure", (a.name, b.name))
-        for a in els
-        for b in els
-        if compose(a, b) not in el_set
+        AxiomViolation("closure", (names[a], names[b]))
+        for a in pairs
+        for b in pairs
+        if _product(n, a, b) not in names
     ]
     record("closure", bad, f"{len(els) ** 2} products stay in the group")
 
     bad = [
-        AxiomViolation("identity", (g.name,))
-        for g in els
-        if compose(e, g) != g or compose(g, e) != g
+        AxiomViolation("identity", (names[g],))
+        for g in pairs
+        if _product(n, e, g) != g or _product(n, g, e) != g
     ]
     record("identity", bad, "e * g == g * e == g for all elements")
 
     bad = [
-        AxiomViolation("inverse", (g.name,))
-        for g in els
-        if compose(g, inverse(g)) != e or compose(inverse(g), g) != e
+        AxiomViolation("inverse", (names[g],))
+        for g, h in zip(pairs, map(_pair, map(inverse, els)))
+        if _product(n, g, h) != e or _product(n, h, g) != e
     ]
     record("inverse", bad, "two-sided inverses exist for all elements")
 
     if n <= _EXHAUSTIVE_ASSOC_LIMIT:
         mode = "exhaustive"
-        triples = [(a, b, c) for a in els for b in els for c in els]
+        triples = [(a, b, c) for a in pairs for b in pairs for c in pairs]
     else:
         mode = "sampled"
         rng = random.Random(0)
         triples = [
-            (rng.choice(els), rng.choice(els), rng.choice(els))
+            (rng.choice(pairs), rng.choice(pairs), rng.choice(pairs))
             for _ in range(_ASSOC_SAMPLES)
         ]
     bad = [
-        AxiomViolation("associativity", (a.name, b.name, c.name))
+        AxiomViolation("associativity", (names[a], names[b], names[c]))
         for a, b, c in triples
-        if compose(compose(a, b), c) != compose(a, compose(b, c))
+        if _product(n, _product(n, a, b), c) != _product(n, a, _product(n, b, c))
     ]
     record("associativity", bad, f"{mode} over {len(triples)} triples")
 
-    bad = [] if power(rotation(n), n) == e else [AxiomViolation("rotation_order", ("r",))]
+    bad = [] if power(rotation(n), n) == identity(n) else [AxiomViolation("rotation_order", ("r",))]
     record("rotation_order", bad, "r^n == e")
 
     bad = [
-        AxiomViolation("reflection_involution", (reflection(n, k).name,))
+        AxiomViolation("reflection_involution", (names[1, k],))
         for k in range(n)
-        if compose(reflection(n, k), reflection(n, k)) != e
+        if _product(n, (1, k), (1, k)) != e
     ]
     record("reflection_involution", bad, "(s r^k)^2 == e for all k")
 
-    s = reflection(n)
     bad = [
-        AxiomViolation("reflection_conjugation", ("s", rotation(n, k).name, "s"))
+        AxiomViolation("reflection_conjugation", ("s", names[0, k], "s"))
         for k in range(n)
-        if compose(compose(s, rotation(n, k)), s) != rotation(n, -k)
+        if _product(n, _product(n, (1, 0), (0, k)), (1, 0)) != (0, -k % n)
     ]
     record("reflection_conjugation", bad, "s r^k s == r^(-k) for all k")
 

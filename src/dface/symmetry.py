@@ -83,7 +83,8 @@ def estimate_midline(frame: FaceFrame) -> MidlineAxis:
 
     Needs at least three complete pairs.  If every midpoint coincides the
     fit is underdetermined and a vertical axis through that point is
-    returned, flagged degenerate.
+    returned, flagged degenerate.  A fit that overflows the float range
+    raises DegenerateFaceError, with no numpy warning.
     """
     import numpy as np
     mids = []
@@ -96,22 +97,28 @@ def estimate_midline(frame: FaceFrame) -> MidlineAxis:
             f"midline fit needs >= {MIN_PAIRS} complete pairs, got {len(mids)}"
         )
     pts = np.asarray(mids, dtype=float)
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    anchor = (float(centroid[0]), float(centroid[1]))
-    if not centered.any():
-        return MidlineAxis(anchor, (0.0, 1.0), 0.0, degenerate=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroid = pts.mean(axis=0)
+        centered = pts - centroid
+        cov = centered.T @ centered
+        if not np.isfinite(cov).all():
+            raise DegenerateFaceError("midline fit overflows: midpoint scatter is not finite")
+        anchor = (float(centroid[0]), float(centroid[1]))
+        if not centered.any():
+            return MidlineAxis(anchor, (0.0, 1.0), 0.0, degenerate=True)
 
-    # Principal axis of the midpoint scatter; eigh is deterministic and the
-    # larger eigenvalue comes last.
-    cov = centered.T @ centered
-    _, vecs = np.linalg.eigh(cov)
-    dx, dy = float(vecs[0, 1]), float(vecs[1, 1])
-    if dy < 0.0 or (dy == 0.0 and dx < 0.0):
-        dx, dy = -dx, -dy
-    perp = centered[:, 0] * dy - centered[:, 1] * dx
-    rms = float(np.sqrt(np.mean(perp ** 2)))
-    return MidlineAxis(anchor, (dx, dy), rms / _normalizer(frame))
+        # Principal axis of the midpoint scatter; eigh is deterministic and the
+        # larger eigenvalue comes last.
+        _, vecs = np.linalg.eigh(cov)
+        dx, dy = float(vecs[0, 1]), float(vecs[1, 1])
+        if dy < 0.0 or (dy == 0.0 and dx < 0.0):
+            dx, dy = -dx, -dy
+        perp = centered[:, 0] * dy - centered[:, 1] * dx
+        rms = float(np.sqrt(np.mean(perp ** 2)))
+    residual = rms / _normalizer(frame)
+    if not all(map(math.isfinite, (dx, dy, residual))):
+        raise DegenerateFaceError("midline fit overflows: axis or residual is not finite")
+    return MidlineAxis(anchor, (dx, dy), residual)
 
 
 def reflect_about(axis: MidlineAxis, p: tuple[float, float]) -> tuple[float, float]:
@@ -226,7 +233,9 @@ def movement_asymmetry(
     normalized by the sequence's reference interocular distance.
 
     Mirroring uses each frame's own axis, so the score tracks genuine
-    one-sided motion rather than head translation.
+    one-sided motion rather than head translation.  Mirroring the sequence
+    swaps which side is measured raw and which mirrored, so with per-frame
+    axes its score may differ; rotations, or one shared axis, keep it.
     """
     if len(seq.frames) < 2:
         raise InsufficientFramesError(
@@ -270,10 +279,7 @@ def reconstruct_occluded(frame: FaceFrame, axis: MidlineAxis | None = None) -> F
         raise UnrecoverablePointError(lost)
     if not fixable:
         return frame
-    updates = {}
-    for pid, partner in fixable:
-        x, y = reflect_about(axis, (partner.x, partner.y))
-        updates[pid] = (x, y)
+    updates = {pid: reflect_about(axis, (p.x, p.y)) for pid, p in fixable}
     return frame.with_coords(updates, reconstructed=True)
 
 

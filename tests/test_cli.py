@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,21 @@ def test_midline_golden(tmp_path, capsys):
     assert lines[2] == "residual,0"
     assert lines[3] == "degenerate,0"
     assert lines[0].startswith("point,100,")
+
+
+@pytest.mark.parametrize("command", ["midline", "asymmetry"])
+def test_overflowing_midline_fit_is_an_error(tmp_path, capsys, command):
+    # Largest coordinate 1e306: the midpoint scatter overflows, which used to
+    # print NaN with exit 0 and a numpy RuntimeWarning.
+    coords = symmetric_coords()
+    scale = 1e306 / max(max(abs(x), abs(y)) for x, y in coords.values())
+    huge = {pid: (x * scale, y * scale) for pid, (x, y) in coords.items()}
+    frame_path = write_frame(tmp_path / "f.csv", huge)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, command, str(frame_path))
+    assert (code, out, caught) == (3, "", [])
+    assert err.startswith("error[degenerate-face]: midline fit overflows")
 
 
 def test_asymmetry_structural_scalar(tmp_path, capsys):

@@ -12,6 +12,7 @@ from conftest import AXIS_X, IOD, frame_with, rigid_motion, symmetric_coords
 from dface import symmetry
 from dface.dihedral import GroupElement, matrix_of
 from dface.errors import (
+    DegenerateFaceError,
     DfaceError,
     InsufficientFramesError,
     InsufficientPairsError,
@@ -74,6 +75,18 @@ def test_midline_needs_three_pairs(base_coords):
     keep = {0, 3, 1, 4}
     coords = {pid: xy for pid, xy in base_coords.items() if pid in keep}
     with pytest.raises(InsufficientPairsError):
+        estimate_midline(build_frame(coords))
+
+
+def test_midline_rejects_a_residual_that_overflows():
+    # Eyes 1e-200 apart, three pairs spread over 1e150: the scatter is finite
+    # but the residual, normalised by the interocular distance, is not.
+    coords = {pid: ((x - 100.0) * 1e-200, (y - 100.0) * 1e-200)
+              for pid, (x, y) in symmetric_coords().items()}
+    coords[0] = coords[3] = (1e150, 0.0)
+    coords[14] = coords[17] = (0.0, 1e150)
+    coords[1] = coords[4] = (-1e150, -1e150)
+    with pytest.raises(DegenerateFaceError, match="not finite"):
         estimate_midline(build_frame(coords))
 
 
