@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .dihedral import GroupElement, element_name, elements, matrix_of
 from .errors import DfaceError, RasterShapeError, UnsupportedOrderError
-from .face import FaceFrame, KeyPoint, counterpart, load_frame, save_frame
+from .face import POINT_COUNT, FaceFrame, counterpart, load_frame, save_frame
 from .raster import RasterImage, read_image, write_image
 
 if TYPE_CHECKING:
@@ -77,25 +77,15 @@ def act_on_keypoints(
     _require_d4(g)
     matrix = matrix_of(g)
     cx, cy = center
-    swap = matrix.determinant < 0
-    moved: dict[int, tuple[float, float, bool]] = {}
-    for p in frame.points:
-        if not p.present:
-            continue
-        mx, my = matrix.apply((p.x - cx, cy - p.y))
-        target = counterpart(p.point_id) if swap else p.point_id
-        moved[target] = (cx + mx, cy - my, p.reconstructed)
-    points = []
-    for slot in frame.points:
-        if slot.point_id in moved:
-            x, y, rec = moved[slot.point_id]
-            points.append(
-                KeyPoint(slot.point_id, slot.region, slot.laterality, slot.state,
-                         x, y, reconstructed=rec)
-            )
-        else:
-            points.append(KeyPoint(slot.point_id, slot.region, slot.laterality, slot.state))
-    return FaceFrame(tuple(points))
+    ids = list(range(POINT_COUNT))
+    if matrix.determinant < 0:
+        ids = [counterpart(pid) for pid in ids]
+    xy: list[tuple[float, float] | None] = [None] * POINT_COUNT
+    for target, p in zip(ids, frame.xy):
+        if p is not None:
+            mx, my = matrix.apply((p[0] - cx, cy - p[1]))
+            xy[target] = (cx + mx, cy - my)
+    return FaceFrame(tuple(xy), frame.states, frozenset(ids[pid] for pid in frame.reconstructed))
 
 
 def transform_kernel(g: GroupElement, kernel: np.ndarray) -> np.ndarray:

@@ -32,8 +32,8 @@ from .face import (
     FaceFrame,
     interocular_distance,
 )
-from .formatting import fmt
-from .symmetry import MidlineAxis, estimate_midline, reconstruct_occluded
+from .formatting import fmt, ordered_mean
+from .symmetry import reconstruct_occluded
 
 __all__ = [
     "ActivityClass",
@@ -105,7 +105,6 @@ _DESCRIPTORS = {
 }
 
 _ACTIVE_NUMBERS = frozenset({1, 2, 4, 12, 15, 16, 20, 23})
-_PASSIVE_NUMBERS = frozenset({5, 6, 7, 9, 26})
 
 _FULL_RULES = {
     Emotion.HAPPINESS: frozenset({6, 12}),
@@ -191,43 +190,33 @@ class AUActivation:
 DEFAULT_THRESHOLD = 0.05
 
 
-def _complete(frame: FaceFrame, axis: MidlineAxis | None) -> FaceFrame:
-    if frame.complete:
-        return frame
-    return reconstruct_occluded(frame, axis)
-
-
 def detect_active_aus(
-    neutral: FaceFrame,
-    expr: FaceFrame,
-    axis: MidlineAxis | None = None,
-    threshold: float = DEFAULT_THRESHOLD,
+    neutral: FaceFrame, expr: FaceFrame, threshold: float = DEFAULT_THRESHOLD
 ) -> list[AUActivation]:
     """Fire the eight measurable AUs from neutral-to-expression movement.
 
     Displacements are divided by the neutral interocular distance and use
     upward-positive y (raster rows grow downward, so a raised brow has a
     smaller y but a positive lift here).  Occluded points are first filled
-    by mirror reconstruction.  A threshold of ``threshold`` gates vertical
-    displacements; the paired width/height gate for the lip tightener uses
-    half of it for the height term.
+    by mirror reconstruction about each frame's own midline.  A threshold
+    of ``threshold`` gates vertical displacements; the paired width/height
+    gate for the lip tightener uses half of it for the height term.
     """
     if threshold <= 0:
         raise DomainError(f"threshold must be positive, got {threshold}")
-    neutral = _complete(neutral, axis)
-    expr = _complete(expr, axis)
+    neutral, expr = (f if f.complete else reconstruct_occluded(f) for f in (neutral, expr))
     iod = interocular_distance(neutral)
     tables = rule_tables()
 
     def lift(pid: int) -> float:
         # y-up displacement of one point, interocular-normalized
-        return (neutral.coords(pid)[1] - expr.coords(pid)[1]) / iod
+        return (neutral.xy[pid][1] - expr.xy[pid][1]) / iod
 
     def mean_lift(pids: tuple[int, ...]) -> float:
-        return sum(lift(p) for p in pids) / len(pids)
+        return ordered_mean([lift(p) for p in pids])
 
     def span(frame: FaceFrame, a: int, b: int) -> float:
-        (xa, ya), (xb, yb) = frame.coords(a), frame.coords(b)
+        (xa, ya), (xb, yb) = frame.xy[a], frame.xy[b]
         return math.hypot(xa - xb, ya - yb)
 
     per_side: dict[int, tuple[float, float]] = {

@@ -29,7 +29,7 @@ from .dihedral import (
 )
 from .errors import ConfigError, DfaceError, DomainError, InsufficientPairsError, SchemaError
 from .face import FrameSequence, load_frame, load_sequence, serialize_frame
-from .formatting import fmt
+from .formatting import fmt, ordered_mean
 from .overlay import render_overlay
 from .raster import (
     bounding_rect,
@@ -196,7 +196,7 @@ def _cmd_asymmetry(args, config: Config) -> int:
     axes = [estimate_midline(f) for f in seq.frames]
     if args.structural:
         scores = [structural_asymmetry(f, a) for f, a in zip(seq.frames, axes)]
-        sys.stdout.write(fmt(sum(scores) / len(scores)) + "\n")
+        sys.stdout.write(fmt(ordered_mean(scores)) + "\n")
     elif args.movement:
         sys.stdout.write(fmt(movement_asymmetry(seq, axes)) + "\n")
     else:
@@ -318,6 +318,9 @@ def _cmd_report(args, config: Config) -> int:
             rows.append(f"{i},{fmt(structural)},{fmt(cumulative)}")
         (outdir / "asymmetry.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
+        # Fill the neutral frame once here, not once per detect_active_aus call.
+        if not neutral.complete:
+            neutral = reconstruct_occluded(neutral)
         rows = ["frame,label,score"]
         for i, frame in enumerate(seq.frames):
             acts = detect_active_aus(neutral, frame, threshold=config.au_threshold)

@@ -21,10 +21,10 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DegenerateFaceError,
@@ -32,7 +32,7 @@ from .errors import (
     MissingPointError,
     SchemaError,
 )
-from .formatting import fmt as _format_float
+from .formatting import fmt as _format_float, ordered_mean
 
 __all__ = [
     "Region",
@@ -148,18 +148,33 @@ def default_state(point_id: int) -> PointState:
     return PointState.STABLE if region is Region.EYE else PointState.ACTIVE
 
 
+_DEFAULT_STATES: tuple[PointState, ...] = tuple(map(default_state, range(POINT_COUNT)))
+
+
+def _check_id(point_id: int) -> None:
+    if not 0 <= point_id < POINT_COUNT:
+        raise SchemaError(f"point id out of range: {point_id}")
+
+
 @dataclass(frozen=True)
 class KeyPoint:
-    """One labelled key point; ``x``/``y`` are None when the point is
-    occluded, ``reconstructed`` marks coordinates filled in by mirroring."""
+    """The view of one key point that ``FaceFrame.point`` returns; ``x``/``y``
+    are None when the point is occluded, ``reconstructed`` marks coordinates
+    filled in by mirroring.  Region and laterality come from the layout."""
 
     point_id: int
-    region: Region
-    laterality: Laterality
     state: PointState
     x: float | None = None
     y: float | None = None
     reconstructed: bool = False
+
+    @property
+    def region(self) -> Region:
+        return CANONICAL_LAYOUT[self.point_id][0]
+
+    @property
+    def laterality(self) -> Laterality:
+        return CANONICAL_LAYOUT[self.point_id][1]
 
     @property
     def present(self) -> bool:
@@ -174,57 +189,52 @@ class KeyPoint:
 
 @dataclass(frozen=True)
 class FaceFrame:
-    """An immutable snapshot of all 24 key points.
+    """An immutable snapshot of the 24 key points, indexed by point id.
 
-    The tuple is always index-aligned with point ids, and region and
-    laterality labels must match the canonical layout; construction fails
-    otherwise.
+    ``xy`` holds each point's ``(x, y)``, or None when it is occluded;
+    ``states`` holds the motion states; ``reconstructed`` is the set of ids
+    whose coordinates were filled in by mirroring.  Region and laterality
+    live only in ``CANONICAL_LAYOUT``; ``point`` and ``points`` give the
+    per-point ``KeyPoint`` view.
     """
 
-    points: tuple[KeyPoint, ...]
+    xy: tuple[tuple[float, float] | None, ...]
+    states: tuple[PointState, ...] = _DEFAULT_STATES
+    reconstructed: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if len(self.points) != POINT_COUNT:
-            raise SchemaError(f"a frame needs {POINT_COUNT} points, got {len(self.points)}")
-        for pid, (point, (region, lat)) in enumerate(zip(self.points, CANONICAL_LAYOUT)):
-            if point.point_id != pid:
-                raise SchemaError(f"point at index {pid} has id {point.point_id}")
-            if point.region is not region or point.laterality is not lat:
-                raise SchemaError(
-                    f"point {pid} labelled {point.region.value}/{point.laterality.value}, "
-                    f"expected {region.value}/{lat.value}"
-                )
-            if (point.x is None) != (point.y is None):
-                raise SchemaError(f"point {pid} has only one coordinate")
+        for values in (self.xy, self.states):
+            if len(values) != POINT_COUNT:
+                raise SchemaError(f"a frame needs {POINT_COUNT} points, got {len(values)}")
 
     def point(self, point_id: int) -> KeyPoint:
-        if not 0 <= point_id < POINT_COUNT:
-            raise SchemaError(f"point id out of range: {point_id}")
-        return self.points[point_id]
+        _check_id(point_id)
+        x, y = self.xy[point_id] or (None, None)
+        return KeyPoint(point_id, self.states[point_id], x, y, point_id in self.reconstructed)
+
+    @property
+    def points(self) -> tuple[KeyPoint, ...]:
+        return tuple(map(self.point, range(POINT_COUNT)))
 
     def coords(self, point_id: int) -> tuple[float, float]:
         return self.point(point_id).coords
 
     def missing_ids(self) -> tuple[int, ...]:
-        return tuple(p.point_id for p in self.points if not p.present)
+        return tuple(pid for pid, xy in enumerate(self.xy) if xy is None)
 
     @property
     def complete(self) -> bool:
-        return all(p.present for p in self.points)
-
-    def replace_points(self, updates: Mapping[int, KeyPoint]) -> "FaceFrame":
-        pts = list(self.points)
-        for pid, kp in updates.items():
-            pts[pid] = kp
-        return FaceFrame(tuple(pts))
+        return None not in self.xy
 
     def with_coords(self, updates: Mapping[int, tuple[float, float]],
                     reconstructed: bool = False) -> "FaceFrame":
-        out = {}
+        xy = list(self.xy)
         for pid, (x, y) in updates.items():
-            out[pid] = replace(self.point(pid), x=float(x), y=float(y),
-                               reconstructed=reconstructed)
-        return self.replace_points(out)
+            _check_id(pid)
+            xy[pid] = (float(x), float(y))
+        ids = frozenset(updates)
+        marked = self.reconstructed | ids if reconstructed else self.reconstructed - ids
+        return FaceFrame(tuple(xy), self.states, marked)
 
 
 def build_frame(coords: Mapping[int, tuple[float, float]] | Sequence[tuple[float, float] | None],
@@ -232,27 +242,16 @@ def build_frame(coords: Mapping[int, tuple[float, float]] | Sequence[tuple[float
     """Assemble a frame from coordinates alone.
 
     ``coords`` is either a mapping from point id to (x, y) or a 24-long
-    sequence where None marks an occluded point; labels and (unless
-    overridden) motion states come from the canonical layout.
+    sequence where None marks an occluded point; motion states come from
+    the canonical layout unless ``states`` overrides them.
     """
     if isinstance(coords, Mapping):
-        table: dict[int, tuple[float, float] | None] = {pid: None for pid in range(POINT_COUNT)}
-        for pid, xy in coords.items():
-            if not 0 <= pid < POINT_COUNT:
-                raise SchemaError(f"point id out of range: {pid}")
-            table[pid] = xy
-        seq = [table[pid] for pid in range(POINT_COUNT)]
-    else:
-        seq = list(coords)
-        if len(seq) != POINT_COUNT:
-            raise SchemaError(f"a frame needs {POINT_COUNT} points, got {len(seq)}")
-    points = []
-    for pid, xy in enumerate(seq):
-        region, lat = CANONICAL_LAYOUT[pid]
-        state = (states or {}).get(pid, default_state(pid))
-        x, y = (None, None) if xy is None else (float(xy[0]), float(xy[1]))
-        points.append(KeyPoint(pid, region, lat, state, x, y))
-    return FaceFrame(tuple(points))
+        for pid in coords:
+            _check_id(pid)
+        coords = [coords.get(pid) for pid in range(POINT_COUNT)]
+    xy = tuple(None if p is None else (float(p[0]), float(p[1])) for p in coords)
+    states = states or {}
+    return FaceFrame(xy, tuple(states.get(pid, s) for pid, s in enumerate(_DEFAULT_STATES)))
 
 
 def interocular_distance(frame: FaceFrame) -> float:
@@ -261,16 +260,17 @@ def interocular_distance(frame: FaceFrame) -> float:
     The usual normalization length; raises if any eye point is occluded or
     the centroids coincide.
     """
-    missing = [pid for pid in LEFT_EYE_IDS + RIGHT_EYE_IDS if not frame.point(pid).present]
+    xy = frame.xy
+    missing = [pid for pid in LEFT_EYE_IDS + RIGHT_EYE_IDS if xy[pid] is None]
     if missing:
         raise MissingPointError(
             "interocular distance needs all eye points; missing "
             + ",".join(str(m) for m in missing)
         )
-    lx = sum(frame.coords(pid)[0] for pid in LEFT_EYE_IDS) / 4.0
-    ly = sum(frame.coords(pid)[1] for pid in LEFT_EYE_IDS) / 4.0
-    rx = sum(frame.coords(pid)[0] for pid in RIGHT_EYE_IDS) / 4.0
-    ry = sum(frame.coords(pid)[1] for pid in RIGHT_EYE_IDS) / 4.0
+    lx = ordered_mean([xy[pid][0] for pid in LEFT_EYE_IDS])
+    ly = ordered_mean([xy[pid][1] for pid in LEFT_EYE_IDS])
+    rx = ordered_mean([xy[pid][0] for pid in RIGHT_EYE_IDS])
+    ry = ordered_mean([xy[pid][1] for pid in RIGHT_EYE_IDS])
     d = math.hypot(lx - rx, ly - ry)
     if d <= 0.0:
         raise DegenerateFaceError("eye centroids coincide")
@@ -303,7 +303,9 @@ def parse_frame(text: str) -> FaceFrame:
         raise FrameParseError("expected 24 rows, found 0")
     if lines[0].strip() != _HEADER:
         raise FrameParseError(f"expected header {_HEADER!r}", line=1)
-    seen: dict[int, KeyPoint] = {}
+    xy: dict[int, tuple[float, float] | None] = {}
+    states: dict[int, PointState] = {}
+    reconstructed = set()
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -317,35 +319,39 @@ def parse_frame(text: str) -> FaceFrame:
             raise FrameParseError(f"bad point id {sid!r}", line=lineno) from None
         if not 0 <= pid < POINT_COUNT:
             raise FrameParseError(f"point id out of range: {pid}", line=lineno)
-        if pid in seen:
+        if pid in xy:
             raise FrameParseError(f"duplicate point id {pid}", line=lineno)
         try:
-            region = Region(sregion)
-            lat = Laterality(slat)
-            state = PointState(sstate)
+            labels = (Region(sregion), Laterality(slat))
+            states[pid] = PointState(sstate)
         except ValueError as exc:
             raise FrameParseError(str(exc), line=lineno) from None
+        if labels != CANONICAL_LAYOUT[pid]:
+            want = "/".join(label.value for label in CANONICAL_LAYOUT[pid])
+            raise FrameParseError(f"point {pid} labelled {sregion}/{slat}, expected {want}",
+                                  line=lineno)
         if sflag not in ("0", "1", "2"):
             raise FrameParseError(f"present flag must be 0, 1 or 2, got {sflag!r}", line=lineno)
         if sflag == "0":
             if sx or sy:
                 raise FrameParseError("occluded point must have empty coordinates", line=lineno)
-            x = y = None
-        else:
-            try:
-                x, y = float(sx), float(sy)
-            except ValueError:
-                raise FrameParseError(f"bad coordinates {sx!r},{sy!r}", line=lineno) from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise FrameParseError("coordinates must be finite", line=lineno)
-        seen[pid] = KeyPoint(pid, region, lat, state, x, y, reconstructed=sflag == "2")
-    missing = sorted(set(range(POINT_COUNT)) - set(seen))
+            xy[pid] = None
+            continue
+        try:
+            x, y = float(sx), float(sy)
+        except ValueError:
+            raise FrameParseError(f"bad coordinates {sx!r},{sy!r}", line=lineno) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise FrameParseError("coordinates must be finite", line=lineno)
+        xy[pid] = (x, y)
+        if sflag == "2":
+            reconstructed.add(pid)
+    missing = sorted(set(range(POINT_COUNT)) - set(xy))
     if missing:
         raise FrameParseError("missing point ids " + ",".join(str(m) for m in missing))
-    try:
-        return FaceFrame(tuple(seen[pid] for pid in range(POINT_COUNT)))
-    except SchemaError as exc:
-        raise FrameParseError(str(exc)) from None
+    ids = range(POINT_COUNT)
+    return FaceFrame(tuple(map(xy.get, ids)), tuple(map(states.get, ids)),
+                     frozenset(reconstructed))
 
 
 def load_frame(path: str | Path) -> FaceFrame:

@@ -6,7 +6,7 @@ goldens alongside the CSV reports.
 
 from __future__ import annotations
 
-from .face import MIDLINE_IDS, FaceFrame
+from .face import CANONICAL_LAYOUT, MIDLINE_IDS, FaceFrame
 from .formatting import fmt
 from .symmetry import MidlineAxis, reflect_about
 
@@ -18,6 +18,7 @@ _REGION_FILL = {
     "lip_corner": "#c05621",
     "lip_middle": "#6b46c1",
 }
+_POINT_FILL = tuple(_REGION_FILL[region.value] for region, _ in CANONICAL_LAYOUT)
 
 _PAD_FRACTION = 0.15
 _MIN_PAD = 10.0
@@ -26,8 +27,9 @@ _MIN_PAD = 10.0
 def render_overlay(frame: FaceFrame, axis: MidlineAxis) -> str:
     """One self-contained SVG: filled circles for measured points, hollow
     circles for their reflections about the axis, and the axis line."""
-    xs = [p.x for p in frame.points if p.present]
-    ys = [p.y for p in frame.points if p.present]
+    present = [(pid, xy) for pid, xy in enumerate(frame.xy) if xy is not None]
+    xs = [x for _, (x, _) in present]
+    ys = [y for _, (_, y) in present]
     if not xs:
         xs, ys = [axis.point[0]], [axis.point[1]]
     x0, x1 = min(xs), max(xs)
@@ -50,22 +52,19 @@ def render_overlay(frame: FaceFrame, axis: MidlineAxis) -> str:
         f'x2="{fmt(x_end)}" y2="{fmt(y_end)}" '
         'stroke="#718096" stroke-width="0.8" stroke-dasharray="4 2"/>',
     ]
-    for p in frame.points:
-        if not p.present:
-            continue
-        fill = _REGION_FILL[p.region.value]
+    for pid, (x, y) in present:
         parts.append(
-            f'<circle cx="{fmt(p.x)}" cy="{fmt(p.y)}" r="2" fill="{fill}">'
-            f"<title>{p.point_id}</title></circle>"
+            f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="2" fill="{_POINT_FILL[pid]}">'
+            f"<title>{pid}</title></circle>"
         )
-    for p in frame.points:
-        if not p.present or p.point_id in MIDLINE_IDS:
+    for pid, xy in present:
+        if pid in MIDLINE_IDS:
             continue
-        mx, my = reflect_about(axis, (p.x, p.y))
+        mx, my = reflect_about(axis, xy)
         parts.append(
             f'<circle cx="{fmt(mx)}" cy="{fmt(my)}" r="2" fill="none" '
-            f'stroke="{_REGION_FILL[p.region.value]}" stroke-width="0.6">'
-            f"<title>{p.point_id}&#8217;</title></circle>"
+            f'stroke="{_POINT_FILL[pid]}" stroke-width="0.6">'
+            f"<title>{pid}&#8217;</title></circle>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

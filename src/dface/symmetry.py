@@ -10,6 +10,7 @@ uniform scaling of the whole frame.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,7 +31,7 @@ from .face import (
     counterpart,
     interocular_distance,
 )
-from .formatting import fmt
+from .formatting import fmt, ordered_mean
 
 __all__ = [
     "MidlineAxis",
@@ -83,15 +84,13 @@ def estimate_midline(frame: FaceFrame) -> MidlineAxis:
 
     Needs at least three complete pairs.  If every midpoint coincides the
     fit is underdetermined and a vertical axis through that point is
-    returned, flagged degenerate.  A fit that overflows the float range
-    raises DegenerateFaceError, with no numpy warning.
+    returned, flagged degenerate.  A fit whose scatter overflows the float
+    range, or is not all zero but falls below the normal range (where it
+    has lost precision), raises DegenerateFaceError, with no numpy warning.
     """
     import numpy as np
-    mids = []
-    for left, right in LATERAL_PAIRS:
-        lp, rp = frame.point(left), frame.point(right)
-        if lp.present and rp.present:
-            mids.append(((lp.x + rp.x) / 2.0, (lp.y + rp.y) / 2.0))
+    mids = [((lx + rx) / 2.0, (ly + ry) / 2.0)
+            for _, (lx, ly), (rx, ry) in _complete_pairs(frame)]
     if len(mids) < MIN_PAIRS:
         raise InsufficientPairsError(
             f"midline fit needs >= {MIN_PAIRS} complete pairs, got {len(mids)}"
@@ -106,6 +105,8 @@ def estimate_midline(frame: FaceFrame) -> MidlineAxis:
         anchor = (float(centroid[0]), float(centroid[1]))
         if not centered.any():
             return MidlineAxis(anchor, (0.0, 1.0), 0.0, degenerate=True)
+        if np.abs(cov).max() < sys.float_info.min:
+            raise DegenerateFaceError("midline fit underflows: midpoint scatter is subnormal")
 
         # Principal axis of the midpoint scatter; eigh is deterministic and the
         # larger eigenvalue comes last.
@@ -130,19 +131,23 @@ def reflect_about(axis: MidlineAxis, p: tuple[float, float]) -> tuple[float, flo
     return (2.0 * t * dx - vx + ax, 2.0 * t * dy - vy + ay)
 
 
+def _complete_pairs(frame: FaceFrame) -> list:
+    """(left id, left (x, y), right (x, y)) of each pair with both points present."""
+    xy = frame.xy
+    return [(left, xy[left], xy[right]) for left, right in LATERAL_PAIRS
+            if xy[left] is not None and xy[right] is not None]
+
+
 def _normalizer(frame: FaceFrame) -> float:
     """Interocular distance, or (when eye points are occluded) the mean
     span of the complete pairs as a stand-in length scale."""
     try:
         return interocular_distance(frame)
     except MissingPointError:
-        spans = []
-        for left, right in LATERAL_PAIRS:
-            lp, rp = frame.point(left), frame.point(right)
-            if lp.present and rp.present:
-                spans.append(math.hypot(lp.x - rp.x, lp.y - rp.y))
+        spans = [math.hypot(lx - rx, ly - ry)
+                 for _, (lx, ly), (rx, ry) in _complete_pairs(frame)]
         if spans:
-            mean = sum(spans) / len(spans)
+            mean = ordered_mean(spans)
             if mean > 0.0:
                 return mean
         raise DegenerateFaceError("no usable normalization length") from None
@@ -150,8 +155,9 @@ def _normalizer(frame: FaceFrame) -> float:
 
 def _mean(values: list[float], norm: float = 1.0) -> float:
     """Mean of ``values`` divided by ``norm``; 0.0 when there are none.
-    ``sum`` adds left to right, so every score is reproducible bit for bit."""
-    return sum(values) / len(values) / norm if values else 0.0
+    ``ordered_mean`` adds left to right, so every score is reproducible bit
+    for bit."""
+    return ordered_mean(values) / norm if values else 0.0
 
 
 def _scores(terms: list[tuple[Region, float]], norm: float) -> tuple[float, dict[Region, float]]:
@@ -167,17 +173,14 @@ def _structural_terms(frame: FaceFrame, axis: MidlineAxis) -> list[tuple[Region,
     point, its distance to the axis.  Raises InsufficientPairsError when no
     pair is complete, before any normalization length is needed."""
     terms = []
-    for left, right in LATERAL_PAIRS:
-        lp, rp = frame.point(left), frame.point(right)
-        if lp.present and rp.present:
-            mx, my = reflect_about(axis, (lp.x, lp.y))
-            terms.append((lp.region, math.hypot(mx - rp.x, my - rp.y)))
+    for left, lp, (rx, ry) in _complete_pairs(frame):
+        mx, my = reflect_about(axis, lp)
+        terms.append((CANONICAL_LAYOUT[left][0], math.hypot(mx - rx, my - ry)))
     if not terms:
         raise InsufficientPairsError("structural score needs at least one complete pair")
     for pid in MIDLINE_IDS:
-        mp = frame.point(pid)
-        if mp.present:
-            terms.append((mp.region, axis.distance((mp.x, mp.y))))
+        if frame.xy[pid] is not None:
+            terms.append((CANONICAL_LAYOUT[pid][0], axis.distance(frame.xy[pid])))
     return terms
 
 
@@ -200,18 +203,19 @@ def _movement_terms(
     so the bits match."""
     sides = []
     for frame, axis in zip(seq.frames, axes):
-        pts = frame.points
+        xy = frame.xy
         ax, ay = axis.point
         dx, dy = axis.direction
         row = []
         for left, right in LATERAL_PAIRS:
-            lp, rp = pts[left], pts[right]
-            if lp.x is None or rp.x is None:
+            lp, rp = xy[left], xy[right]
+            if lp is None or rp is None:
                 row.append(None)
                 continue
-            vx, vy = rp.x - ax, rp.y - ay
+            (lx, ly), (rx, ry) = lp, rp
+            vx, vy = rx - ax, ry - ay
             t = vx * dx + vy * dy
-            row.append((lp.x, lp.y, 2.0 * t * dx - vx + ax, 2.0 * t * dy - vy + ay))
+            row.append((lx, ly, 2.0 * t * dx - vx + ax, 2.0 * t * dy - vy + ay))
         sides.append(row)
     terms = []
     for a, b in zip(sides, sides[1:]):
@@ -258,28 +262,17 @@ def reconstruct_occluded(frame: FaceFrame, axis: MidlineAxis | None = None) -> F
 
     Reconstructed points carry a flag so downstream consumers can tell
     measured from inferred coordinates.  A point whose counterpart is also
-    missing, or a missing midline point, cannot be recovered.
+    missing cannot be recovered; that includes every missing midline point,
+    which is its own counterpart.
     """
     if axis is None:
         axis = estimate_midline(frame)
-    lost = []
-    fixable = []
-    for p in frame.points:
-        if p.present:
-            continue
-        if p.point_id in MIDLINE_IDS:
-            lost.append(p.point_id)
-            continue
-        partner = frame.point(counterpart(p.point_id))
-        if partner.present:
-            fixable.append((p.point_id, partner))
-        else:
-            lost.append(p.point_id)
+    xy = frame.xy
+    missing = frame.missing_ids()
+    lost = [pid for pid in missing if xy[counterpart(pid)] is None]
     if lost:
         raise UnrecoverablePointError(lost)
-    if not fixable:
-        return frame
-    updates = {pid: reflect_about(axis, (p.x, p.y)) for pid, p in fixable}
+    updates = {pid: reflect_about(axis, xy[counterpart(pid)]) for pid in missing}
     return frame.with_coords(updates, reconstructed=True)
 
 

@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dface.dihedral import cayley_csv
 from dface.face import build_frame, load_frame, save_frame, serialize_frame
 from dface.formatting import fmt
 from dface.raster import RasterImage, read_image, write_image
-from dface.symmetry import structural_asymmetry
+from dface.symmetry import reconstruct_occluded, structural_asymmetry
 
 HAPPY_MOVES = {"14": (75.0, 134.0), "17": (125.0, 134.0)}
 
@@ -252,6 +253,28 @@ def test_overflowing_midline_fit_is_an_error(tmp_path, capsys, command):
         code, out, err = run(capsys, command, str(frame_path))
     assert (code, out, caught) == (3, "", [])
     assert err.startswith("error[degenerate-face]: midline fit overflows")
+
+
+TURNED_1E_100 = {
+    "midline": "point,3.71788619e-99,1.40527514e-98\ndirection,-0.479425539,0.877582562\n"
+               "residual,1.51426551e-09\ndegenerate,0\n",
+    "asymmetry": "4.49052858e-09\n",
+}
+
+
+@pytest.mark.parametrize("command", ["midline", "asymmetry"])
+def test_subnormal_midline_scatter_is_an_error(tmp_path, capsys, command):
+    # The fixture turned by 0.5 rad and scaled by 1e-300 used to print the
+    # axis direction 0,1 and a structural score of 0.500562853, with exit 0.
+    argv = [command] + (["--structural"] if command == "asymmetry" else [])
+    turned = {scale: rigid_motion(symmetric_coords(), 0.5, (0.0, 0.0), scale)
+              for scale in (1e-300, 1e-100)}
+    tiny = write_frame(tmp_path / "tiny.csv", turned[1e-300])
+    code, out, err = run(capsys, *argv, str(tiny))
+    assert (code, out) == (3, "")
+    assert err.startswith("error[degenerate-face]: midline fit underflows")
+    small = write_frame(tmp_path / "small.csv", turned[1e-100])
+    assert run(capsys, *argv, str(small)) == (0, TURNED_1E_100[command], "")
 
 
 def test_asymmetry_structural_scalar(tmp_path, capsys):
@@ -525,6 +548,16 @@ def test_non_utf8_text_inputs_are_data_errors(tmp_path, capsys):
     assert code == 3 and err.startswith("error[parse]: frame_0.csv:")
 
 
+def test_mislabelled_frame_row_is_a_parse_error(tmp_path, capsys):
+    text = serialize_frame(build_frame(symmetric_coords()))
+    assert "\n0,eyebrow,left,active," in text
+    path = tmp_path / "f.csv"
+    path.write_text(text.replace("\n0,eyebrow,left,", "\n0,eye,left,"), encoding="utf-8")
+    code, out, err = run(capsys, "midline", str(path))
+    assert (code, out) == (3, "") and err.startswith("error[parse]:")
+    assert "point 0 labelled eye/left, expected eyebrow/left" in err
+
+
 def test_augment_skips_non_utf8_keypoints(tmp_path, capsys):
     indir = tmp_path / "in"
     indir.mkdir()
@@ -589,6 +622,29 @@ def test_report_explicit_neutral(tmp_path, capsys):
     assert cls[2] == "1,Neutral,"
     assert cls[1].startswith("0,")
     assert cls[1] != "0,Neutral,"
+
+
+def test_report_fills_an_incomplete_neutral_frame_once(tmp_path, capsys):
+    seqdir = tmp_path / "seq"
+    seqdir.mkdir()
+    write_frame(seqdir / "frame_0.csv", **{"2": None})
+    for t in (1, 2, 3):
+        write_frame(seqdir / f"frame_{t}.csv", **HAPPY_MOVES)
+    filled = []
+
+    def counted(frame, axis=None):
+        filled.append(frame.missing_ids())
+        return reconstruct_occluded(frame, axis)
+
+    with mock.patch("dface.cli.reconstruct_occluded", counted), \
+            mock.patch("dface.aus.reconstruct_occluded", counted):
+        code, _, err = run(capsys, "report", str(seqdir), str(tmp_path / "out"),
+                           "--report-format", "csv")
+    assert (code, err) == (0, "")
+    # once as the neutral frame, once as the expression of row 0
+    assert filled == [(2,), (2,)]
+    cls = (tmp_path / "out" / "classification.csv").read_text().splitlines()
+    assert cls == ["frame,label,score", "0,Neutral,", *(f"{t},Happiness,1" for t in (1, 2, 3))]
 
 
 def test_report_reruns_byte_identical(tmp_path, capsys):

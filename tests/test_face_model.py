@@ -63,28 +63,29 @@ def test_default_states():
 
 
 def test_frame_rejects_wrong_count(base_frame):
+    with pytest.raises(SchemaError, match="needs 24 points, got 23"):
+        FaceFrame(base_frame.xy[:23], base_frame.states)
+    with pytest.raises(SchemaError, match="needs 24 points, got 25"):
+        FaceFrame(base_frame.xy, base_frame.states + (PointState.ACTIVE,))
+
+
+def test_points_are_views_labelled_by_the_layout(base_coords):
+    frame = frame_with(base_coords, **{"9": None}).with_coords({3: (1.0, 2.0)}, reconstructed=True)
+    assert frame.points == tuple(frame.point(pid) for pid in range(POINT_COUNT))
+    brow = frame.point(3)
+    assert brow == KeyPoint(3, PointState.ACTIVE, 1.0, 2.0, reconstructed=True)
+    assert (brow.region, brow.laterality) == (Region.EYEBROW, Laterality.RIGHT)
+    assert brow.present and brow.coords == (1.0, 2.0)
+    lid = frame.point(9)
+    assert (lid.region, lid.laterality, lid.state) == (Region.EYE, Laterality.LEFT,
+                                                       PointState.STABLE)
+    assert not lid.present and (lid.x, lid.y, lid.reconstructed) == (None, None, False)
+    with pytest.raises(MissingPointError):
+        lid.coords
+    assert [(p.region, p.laterality) for p in frame.points] == list(CANONICAL_LAYOUT)
+    assert frame.with_coords({3: (1.0, 2.0)}).reconstructed == frozenset()
     with pytest.raises(SchemaError):
-        FaceFrame(base_frame.points[:23])
-
-
-def test_frame_rejects_misaligned_id(base_frame):
-    pts = list(base_frame.points)
-    pts[0], pts[1] = pts[1], pts[0]
-    with pytest.raises(SchemaError):
-        FaceFrame(tuple(pts))
-
-
-def test_frame_rejects_label_mismatch(base_frame):
-    bad = KeyPoint(0, Region.EYE, Laterality.LEFT, PointState.ACTIVE, 1.0, 2.0)
-    with pytest.raises(SchemaError) as exc:
-        base_frame.replace_points({0: bad})
-    assert "expected eyebrow/left" in str(exc.value)
-
-
-def test_frame_rejects_half_coordinates(base_frame):
-    bad = KeyPoint(5, Region.EYEBROW, Laterality.RIGHT, PointState.ACTIVE, 1.0, None)
-    with pytest.raises(SchemaError):
-        base_frame.replace_points({5: bad})
+        frame.point(24)
 
 
 def test_build_frame_mapping_and_sequence_agree(base_coords):

@@ -1,18 +1,20 @@
 """Never a traceback: every file-reading command, fed arbitrary or mutated
 bytes, exits 0, 2 or 3, and a nonzero exit explains itself as
-``error[<code>]: ...`` on stderr."""
+``error[<code>]: ...`` on stderr.  A mirrored face at any scale the float
+range can hold either scores as mirrored or is refused as degenerate."""
 
 import contextlib
 import io
+import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import frame_with, symmetric_coords
 from dface.cli import main
-from dface.face import serialize_frame
+from dface.face import build_frame, serialize_frame
 
 _FRAME = serialize_frame(frame_with(symmetric_coords(), **{"2": None})).encode()
 _MOVED = serialize_frame(frame_with(symmetric_coords(), **{"14": (75.0, 130.0)})).encode()
@@ -105,3 +107,34 @@ def test_kernels_never_escapes(data):
         path = Path(tmp, "kernel.txt")
         path.write_bytes(data)
         _check(["kernels", str(path), str(Path(tmp, "bank"))])
+
+
+@_EXAMPLES
+@given(st.integers(-320, 306))
+@example(-320)  # smallest: coordinates are subnormal
+@example(-160)  # the scatter falls below the normal range
+@example(-150)  # the scatter is just inside it
+@example(152)  # the scatter is just below overflow
+@example(306)  # largest
+def test_scaled_mirrored_face_is_mirrored_or_degenerate(exponent):
+    # Scaled by editing the decimal exponent, so the CSV keeps the mirror exact.
+    coords = {pid: (float(f"{x!r}e{exponent}"), float(f"{y!r}e{exponent}"))
+              for pid, (x, y) in symmetric_coords().items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "frame.csv")
+        path.write_text(serialize_frame(build_frame(coords)), encoding="utf-8")
+        for argv in (["midline", str(path)], ["asymmetry", str(path), "--structural"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code:
+                assert (code, out.getvalue()) == (3, ""), err.getvalue()
+                assert err.getvalue().startswith("error[degenerate-face]:"), err.getvalue()
+                continue
+            rows = [line.split(",") for line in out.getvalue().splitlines()]
+            if argv[0] == "midline":
+                rows = [row[1:] for row in rows]  # drop the row labels
+            numbers = [float(v) for row in rows for v in row]
+            assert all(math.isfinite(v) for v in numbers), rows
+            if argv[0] == "asymmetry":
+                assert len(numbers) == 1 and numbers[0] < 1e-9, rows

@@ -66,3 +66,12 @@ def test_array_free_commands_match_across_interpreters(tmp_path):
     assert [code for code, _ in expected] == [0, 0, 0, 0]
     for exe in others:
         assert _stdout_digests(exe, commands) == expected, exe
+
+
+def test_ordered_mean_adds_left_to_right_on_every_interpreter():
+    # From 3.12 ``sum`` compensates and would give 1/3 here.
+    probe = "from dface.formatting import ordered_mean; print(ordered_mean([1e16, 1.0, -1e16]))"
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    for exe in [sys.executable, *_other_interpreters()]:
+        proc = subprocess.run([exe, "-c", probe], capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, b"0.0\n"), exe

@@ -90,6 +90,22 @@ def test_midline_rejects_a_residual_that_overflows():
         estimate_midline(build_frame(coords))
 
 
+def test_midline_rejects_a_scatter_below_the_normal_range():
+    # The mirrored fixture turned by 0.5 rad and scaled by 1e-300: the midpoint
+    # scatter is subnormal, which used to fit the axis (0, 1) and score 0.5.
+    def turned(scale):
+        return build_frame(rigid_motion(symmetric_coords(), 0.5, (0.0, 0.0), scale))
+
+    with pytest.raises(DegenerateFaceError, match="subnormal"):
+        estimate_midline(turned(1e-300))
+    with pytest.raises(DegenerateFaceError, match="subnormal"):
+        structural_asymmetry(turned(1e-160))
+    for scale in (1.0, 1e-100):
+        axis = estimate_midline(turned(scale))
+        assert axis.direction == pytest.approx((-math.sin(0.5), math.cos(0.5)), abs=1e-12)
+        assert structural_asymmetry(turned(scale), axis) < 1e-14
+
+
 def test_midline_degenerate_coincident_midpoints():
     # point symmetry about (100, 100): every pair midpoint collapses there
     coords = dict(symmetric_coords())
