@@ -9,6 +9,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -337,6 +338,7 @@ def _cmd_report(args, config: Config) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dface",

@@ -149,6 +149,7 @@ def default_state(point_id: int) -> PointState:
 
 
 _DEFAULT_STATES: tuple[PointState, ...] = tuple(map(default_state, range(POINT_COUNT)))
+_IDS = frozenset(range(POINT_COUNT))
 
 
 def _check_id(point_id: int) -> None:
@@ -195,7 +196,9 @@ class FaceFrame:
     ``states`` holds the motion states; ``reconstructed`` is the set of ids
     whose coordinates were filled in by mirroring.  Region and laterality
     live only in ``CANONICAL_LAYOUT``; ``point`` and ``points`` give the
-    per-point ``KeyPoint`` view.
+    per-point ``KeyPoint`` view.  Raises SchemaError unless each ``xy``
+    entry is None or an ``(x, y)`` tuple and each reconstructed id is in
+    0..23.
     """
 
     xy: tuple[tuple[float, float] | None, ...]
@@ -206,6 +209,12 @@ class FaceFrame:
         for values in (self.xy, self.states):
             if len(values) != POINT_COUNT:
                 raise SchemaError(f"a frame needs {POINT_COUNT} points, got {len(values)}")
+        for p in self.xy:
+            if p is not None and (not isinstance(p, tuple) or len(p) != 2):
+                raise SchemaError(f"coordinates must be None or an (x, y) pair, got {p!r}")
+        if not self.reconstructed <= _IDS:
+            bad = sorted(self.reconstructed - _IDS, key=repr)
+            raise SchemaError(f"reconstructed point ids out of range: {bad}")
 
     def point(self, point_id: int) -> KeyPoint:
         _check_id(point_id)
@@ -282,7 +291,13 @@ _HEADER = "id,region,laterality,state,x,y,present"
 
 def serialize_frame(frame: FaceFrame) -> str:
     """Frame as CSV text.  ``present`` is 0 for occluded points (empty
-    coordinate fields), 1 for measured, 2 for reconstructed."""
+    coordinate fields), 1 for measured, 2 for reconstructed.
+
+    Coordinates are rounded to nine significant digits (``%.9g``), so a
+    frame read back with :func:`parse_frame` may differ from the one
+    written, and a score computed from the saved frame may differ from the
+    in-memory score by about 1e-9 of the interocular distance.
+    """
     lines = [_HEADER]
     for p in frame.points:
         if p.present:
@@ -294,6 +309,10 @@ def serialize_frame(frame: FaceFrame) -> str:
             f"{p.point_id},{p.region.value},{p.laterality.value},{p.state.value},{xs},{ys},{flag}"
         )
     return "\n".join(lines) + "\n"
+
+
+_LAYOUT_VALUES = tuple((region.value, side.value) for region, side in CANONICAL_LAYOUT)
+_STATE_OF = {state.value: state for state in PointState}
 
 
 def parse_frame(text: str) -> FaceFrame:
@@ -321,15 +340,17 @@ def parse_frame(text: str) -> FaceFrame:
             raise FrameParseError(f"point id out of range: {pid}", line=lineno)
         if pid in xy:
             raise FrameParseError(f"duplicate point id {pid}", line=lineno)
-        try:
-            labels = (Region(sregion), Laterality(slat))
-            states[pid] = PointState(sstate)
-        except ValueError as exc:
-            raise FrameParseError(str(exc), line=lineno) from None
-        if labels != CANONICAL_LAYOUT[pid]:
-            want = "/".join(label.value for label in CANONICAL_LAYOUT[pid])
-            raise FrameParseError(f"point {pid} labelled {sregion}/{slat}, expected {want}",
-                                  line=lineno)
+        state = _STATE_OF.get(sstate)
+        if state is None or (sregion, slat) != _LAYOUT_VALUES[pid]:
+            # Only on a miss, so that the enum constructors word the error
+            # for the first bad field.
+            try:
+                Region(sregion), Laterality(slat), PointState(sstate)
+            except ValueError as exc:
+                raise FrameParseError(str(exc), line=lineno) from None
+            raise FrameParseError(f"point {pid} labelled {sregion}/{slat}, expected "
+                                  + "/".join(_LAYOUT_VALUES[pid]), line=lineno)
+        states[pid] = state
         if sflag not in ("0", "1", "2"):
             raise FrameParseError(f"present flag must be 0, 1 or 2, got {sflag!r}", line=lineno)
         if sflag == "0":

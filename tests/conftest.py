@@ -5,11 +5,13 @@ interocular distance of 60, so midline fits, reflections, and displacement
 arithmetic all have closed-form expected values.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dface.face import FaceFrame, build_frame
+from dface.face import FaceFrame, build_frame, save_frame
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -84,3 +86,22 @@ def rigid_motion(coords, angle: float, shift: tuple[float, float], scale: float 
         rx, ry = c * x - s * y, s * x + c * y
         out[pid] = (scale * rx + shift[0], scale * ry + shift[1])
     return out
+
+
+def write_golden_sequence(seqdir):
+    """40 frames: head sway and nod, a raise of the left lip corner alone,
+    one lateral point occluded in every seventh frame, reference length 60."""
+    seqdir.mkdir()
+    for t in range(40):
+        coords = symmetric_coords()
+        lift = 9.0 * math.sin(math.pi * t / 20) ** 2
+        for pid in (14, 15, 16):
+            x, y = coords[pid]
+            coords[pid] = (x - 0.3 * lift, y - lift)
+        pose = (0.05 * math.sin(t / 6), (12 * math.sin(t / 9), 3 * math.cos(t / 5)))
+        table = {pid: (round(x, 3), round(y, 3))
+                 for pid, (x, y) in rigid_motion(coords, *pose).items()}
+        if t % 7 == 3:
+            del table[(2, 9, 17, 12)[t // 7 % 4]]
+        save_frame(seqdir / f"frame_{t}.csv", build_frame(table))
+    (seqdir / "sequence.ini").write_text("[sequence]\ninterocular_ref = 60\n")

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -17,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dface
-from conftest import frame_with, rigid_motion, symmetric_coords
+from conftest import frame_with, rigid_motion, symmetric_coords, write_golden_sequence
 from dface.cli import MAX_ORDER, _parse_axis, main
 from dface.dihedral import cayley_csv
 from dface.face import build_frame, load_frame, save_frame, serialize_frame
@@ -657,28 +656,9 @@ def test_report_reruns_byte_identical(tmp_path, capsys):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
 
 
-def _write_golden_sequence(seqdir):
-    """40 frames: head sway and nod, a raise of the left lip corner alone,
-    one lateral point occluded in every seventh frame, reference length 60."""
-    seqdir.mkdir()
-    for t in range(40):
-        coords = symmetric_coords()
-        lift = 9.0 * math.sin(math.pi * t / 20) ** 2
-        for pid in (14, 15, 16):
-            x, y = coords[pid]
-            coords[pid] = (x - 0.3 * lift, y - lift)
-        pose = (0.05 * math.sin(t / 6), (12 * math.sin(t / 9), 3 * math.cos(t / 5)))
-        table = {pid: (round(x, 3), round(y, 3))
-                 for pid, (x, y) in rigid_motion(coords, *pose).items()}
-        if t % 7 == 3:
-            del table[(2, 9, 17, 12)[t // 7 % 4]]
-        save_frame(seqdir / f"frame_{t}.csv", build_frame(table))
-    (seqdir / "sequence.ini").write_text("[sequence]\ninterocular_ref = 60\n")
-
-
 def test_report_and_asymmetry_golden_on_a_moving_sequence(tmp_path, capsys):
     seqdir = tmp_path / "seq"
-    _write_golden_sequence(seqdir)
+    write_golden_sequence(seqdir)
     outdir = tmp_path / "report"
     code, _, err = run(capsys, "report", str(seqdir), str(outdir), "--report-format", "both")
     assert code == 0 and err == ""
@@ -944,3 +924,69 @@ def test_array_free_commands_load_neither_numpy_nor_hashlib(tmp_path):
         "degenerate,0\n"
     )]
     assert numpy_after
+
+
+def _fresh_interpreter(argv, env):
+    proc = subprocess.run([sys.executable, "-m", "dface", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_reused_parser_prints_what_a_fresh_one_prints(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DFACE_CONFIG", raising=False)
+    bad_header = tmp_path / "bad_header.csv"
+    bad_header.write_text("id,region,oops\n", encoding="utf-8")
+    cases = [
+        (["--help"], 0),
+        (["cayley", "--help"], 0),
+        (["verify"], 2),
+        (["--config", str(tmp_path / "missing.ini"), "verify", "8"], 2),
+        (["midline", str(bad_header)], 3),
+        (["verify", "8"], 0),
+    ]
+    helps = []
+    # The help width is read as help is printed, not when the parser is built.
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        env = dict(os.environ, PYTHONPATH=str(Path(dface.__file__).parents[1]))
+        for argv, code in cases:
+            in_process = run(capsys, *argv)
+            assert in_process[0] == code, argv
+            assert in_process == _fresh_interpreter(argv, env), (columns, argv)
+        helps.append(run(capsys, "--help")[1])
+    assert helps[0] != helps[1]
+
+
+# Counts the ArgumentParser objects built on import and over 20 commands.
+_PARSERS_BUILT = """
+import argparse, contextlib, io, json
+progs = []
+init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    progs.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+from dface.cli import main
+at_import = len(progs)
+commands = [["cayley", "4"], ["verify", "8"], ["verify", "0"], ["--help"]] * 5
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+print(json.dumps([at_import, progs, codes]))
+"""
+
+
+def test_main_builds_one_parser_tree_per_process():
+    env = dict(os.environ, PYTHONPATH=str(Path(dface.__file__).parents[1]))
+    env.pop("DFACE_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-c", _PARSERS_BUILT], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    at_import, progs, codes = json.loads(proc.stdout)
+    assert at_import == 0
+    # the root parser and one subparser per command, built on the first call
+    assert progs[0] == "dface" and len(progs) == 14
+    assert sorted(progs[1:]) == sorted(f"dface {name}" for name in (
+        "cayley", "verify", "transform", "orbit", "kernels", "preprocess", "midline",
+        "asymmetry", "reconstruct", "aus", "classify", "augment", "report"))
+    assert codes == [0, 0, 2, 0] * 5

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import frame_with, symmetric_coords
+from conftest import frame_with, rigid_motion, symmetric_coords
 from dface.errors import (
     DegenerateFaceError,
     FrameParseError,
@@ -33,6 +33,7 @@ from dface.face import (
     save_sequence,
     serialize_frame,
 )
+from dface.symmetry import structural_asymmetry
 
 
 def test_layout_shape():
@@ -67,6 +68,24 @@ def test_frame_rejects_wrong_count(base_frame):
         FaceFrame(base_frame.xy[:23], base_frame.states)
     with pytest.raises(SchemaError, match="needs 24 points, got 25"):
         FaceFrame(base_frame.xy, base_frame.states + (PointState.ACTIVE,))
+
+
+@pytest.mark.parametrize("xy", [
+    ((1.0,),) * 24,
+    ((1.0, 2.0, 3.0),) * 24,
+    (1.0,) * 24,
+    ([1.0, 2.0],) * 24,
+])
+def test_frame_rejects_malformed_coordinates(xy):
+    with pytest.raises(SchemaError, match=r"coordinates must be None or an \(x, y\) pair"):
+        FaceFrame(xy)
+
+
+@pytest.mark.parametrize("ids", [{99}, {24}, {-1}, {0, 23, 24}])
+def test_frame_rejects_reconstructed_ids_out_of_range(base_frame, ids):
+    with pytest.raises(SchemaError, match="reconstructed point ids out of range"):
+        FaceFrame(base_frame.xy, base_frame.states, frozenset(ids))
+    assert FaceFrame(base_frame.xy, base_frame.states, frozenset({0, 23})).point(23).reconstructed
 
 
 def test_points_are_views_labelled_by_the_layout(base_coords):
@@ -320,3 +339,30 @@ def test_symmetric_fixture_is_mirrored():
         assert ly == ry
     for pid in MIDLINE_IDS:
         assert coords[pid][0] == 100.0
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,nose,left,active,70,75,1", "line 3: 'nose' is not a valid Region"),
+    ("1,eyebrow,up,active,70,75,1", "line 3: 'up' is not a valid Laterality"),
+    ("1,eyebrow,left,frozen,70,75,1", "line 3: 'frozen' is not a valid PointState"),
+    ("1,nose,up,frozen,70,75,1", "line 3: 'nose' is not a valid Region"),
+    ("1,eye,right,frozen,70,75,1", "line 3: 'frozen' is not a valid PointState"),
+    ("1,eye,right,active,70,75,1", "line 3: point 1 labelled eye/right, expected eyebrow/left"),
+])
+def test_bad_labels_keep_their_parse_error_text(base_frame, row, message):
+    lines = serialize_frame(base_frame).splitlines()
+    lines[2] = row
+    with pytest.raises(FrameParseError) as info:
+        parse_frame("\n".join(lines) + "\n")
+    assert str(info.value) == message
+
+
+def test_frame_csv_rounds_coordinates_to_nine_digits():
+    frame = build_frame(rigid_motion(symmetric_coords(), 0.5, (0.0, 0.0)))
+    text = serialize_frame(frame)
+    assert text.splitlines()[1] == "0,eyebrow,left,active,36.2404747,110.957776,1"
+    saved = parse_frame(text)
+    assert saved != frame and serialize_frame(saved) == text
+    # the score of the saved frame moves by about 1e-9 of the interocular distance
+    assert structural_asymmetry(frame) == 3.6225307730996884e-16
+    assert structural_asymmetry(saved) == 4.490528639987442e-09

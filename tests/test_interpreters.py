@@ -1,12 +1,14 @@
-"""The array-free commands print the same bytes under every supported Python.
+"""The array-free commands and sums give the same bits under every supported Python.
 
 ``pyproject.toml`` allows Python >= 3.10.  Other installed interpreters are
 found under ``$PYENV_ROOT/versions/3.1*``; they need not have numpy, so only
-commands that never import it are compared.
+commands that never import it are compared, and the asymmetry sums are
+replayed on midline axes fitted by the running interpreter.
 """
 
 import glob
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -14,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import frame_with, symmetric_coords
-from dface.face import save_frame
+from conftest import frame_with, symmetric_coords, write_golden_sequence
+from dface.face import load_sequence, save_frame
+from dface.symmetry import estimate_midline
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -75,3 +78,54 @@ def test_ordered_mean_adds_left_to_right_on_every_interpreter():
     for exe in [sys.executable, *_other_interpreters()]:
         proc = subprocess.run([exe, "-c", probe], capture_output=True, env=env, timeout=60)
         assert (proc.returncode, proc.stdout) == (0, b"0.0\n"), exe
+
+
+# Rebuilds frames and axes from float.hex on stdin and prints float.hex of
+# each prefix's movement score, each frame's structural score and the report.
+_REPLAY = """
+import json, sys
+from dface.face import FaceFrame, FrameSequence
+from dface.symmetry import MidlineAxis, asymmetry_report, movement_asymmetry, structural_asymmetry
+
+data = json.load(sys.stdin)
+h = float.fromhex
+frames = tuple(FaceFrame(tuple(p and (h(p[0]), h(p[1])) for p in xy)) for xy in data["frames"])
+axes = [MidlineAxis((h(px), h(py)), (h(dx), h(dy)), h(r), degenerate)
+        for px, py, dx, dy, r, degenerate in data["axes"]]
+ref = h(data["ref"])
+out = [movement_asymmetry(FrameSequence(frames[:i], interocular_ref=ref), axes[:i]).hex()
+       for i in range(2, len(frames) + 1)]
+out += [structural_asymmetry(f, a).hex() for f, a in zip(frames, axes)]
+report = asymmetry_report(FrameSequence(frames, interocular_ref=ref), axes)
+out += [report.structural.hex(), report.movement.hex(), report.frames_used]
+out += [v.hex() for scores in report.per_region.values() for v in scores]
+out.append("numpy" in sys.modules)
+print(json.dumps(out))
+"""
+
+
+def _replay(exe: str, payload: str) -> list:
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([exe, "-c", _REPLAY], input=payload, capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, (exe, proc.stderr)
+    return json.loads(proc.stdout)
+
+
+def test_report_sums_match_across_interpreters(tmp_path):
+    others = _other_interpreters()
+    if not others:
+        pytest.skip("no other Python 3.1x interpreter starts here")
+    write_golden_sequence(tmp_path / "seq")
+    seq = load_sequence(tmp_path / "seq")
+    axes = [estimate_midline(f) for f in seq.frames]
+    payload = json.dumps({
+        "frames": [[p and (p[0].hex(), p[1].hex()) for p in f.xy] for f in seq.frames],
+        "axes": [(*(v.hex() for v in (*a.point, *a.direction, a.fit_residual)), a.degenerate)
+                 for a in axes],
+        "ref": seq.interocular_ref.hex(),
+    })
+    expected = _replay(sys.executable, payload)
+    assert len(expected) == 39 + 40 + 3 + 8 + 1 and expected[-1] is False
+    for exe in others:
+        assert _replay(exe, payload) == expected, exe
