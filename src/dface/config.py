@@ -9,11 +9,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .aus import Emotion
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .raster import _check_sigma
 
-__all__ = ["Config", "load_config", "ENV_VAR"]
+__all__ = ["Config", "load_config", "ENV_VAR", "MAX_SIGMA"]
 
 ENV_VAR = "DFACE_CONFIG"
+
+# Smoothing work per pixel grows with the kernel radius, ceil(3 sigma), so a
+# config sigma is capped like a CLI group order; the library functions take
+# any sigma whose taps are finite.
+MAX_SIGMA = 50.0
 
 _KNOWN = {
     "au": {"threshold", "tie_order"},
@@ -38,10 +44,12 @@ class Config:
             raise ConfigError(
                 f"au threshold must be positive and finite, got {self.au_threshold}"
             )
-        if not (math.isfinite(self.canny_sigma) and self.canny_sigma > 0):
-            raise ConfigError(
-                f"canny sigma must be positive and finite, got {self.canny_sigma}"
-            )
+        try:
+            _check_sigma(self.canny_sigma)
+        except DomainError as exc:
+            raise ConfigError(f"canny {exc}") from None
+        if self.canny_sigma > MAX_SIGMA:
+            raise ConfigError(f"canny sigma must be at most {MAX_SIGMA:g}, got {self.canny_sigma}")
         if not (0 < self.canny_low < self.canny_high <= 1):
             raise ConfigError(
                 f"canny thresholds must satisfy 0 < low < high <= 1, "

@@ -197,8 +197,8 @@ class FaceFrame:
     whose coordinates were filled in by mirroring.  Region and laterality
     live only in ``CANONICAL_LAYOUT``; ``point`` and ``points`` give the
     per-point ``KeyPoint`` view.  Raises SchemaError unless each ``xy``
-    entry is None or an ``(x, y)`` tuple and each reconstructed id is in
-    0..23.
+    entry is None or a finite ``(x, y)`` tuple and each reconstructed id is
+    in 0..23 and has coordinates.
     """
 
     xy: tuple[tuple[float, float] | None, ...]
@@ -210,11 +210,23 @@ class FaceFrame:
             if len(values) != POINT_COUNT:
                 raise SchemaError(f"a frame needs {POINT_COUNT} points, got {len(values)}")
         for p in self.xy:
-            if p is not None and (not isinstance(p, tuple) or len(p) != 2):
-                raise SchemaError(f"coordinates must be None or an (x, y) pair, got {p!r}")
+            if p is None:
+                continue
+            try:
+                ok = (isinstance(p, tuple) and len(p) == 2
+                      and math.isfinite(p[0]) and math.isfinite(p[1]))
+            except TypeError:  # a coordinate that is not a number
+                ok = False
+            if not ok:
+                raise SchemaError(
+                    f"coordinates must be None or an (x, y) pair of finite numbers, got {p!r}"
+                )
         if not self.reconstructed <= _IDS:
             bad = sorted(self.reconstructed - _IDS, key=repr)
             raise SchemaError(f"reconstructed point ids out of range: {bad}")
+        occluded = sorted(pid for pid in self.reconstructed if self.xy[pid] is None)
+        if occluded:
+            raise SchemaError(f"reconstructed points have no coordinates: {occluded}")
 
     def point(self, point_id: int) -> KeyPoint:
         _check_id(point_id)

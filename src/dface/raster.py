@@ -10,7 +10,8 @@ binary PGM (P5) and PPM (P6) with maxval 255 are supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
+from sys import float_info
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ImageFormatError, RasterShapeError
@@ -188,6 +189,16 @@ def to_grayscale(img: RasterImage) -> RasterImage:
     return RasterImage.from_array(np.floor(luma + 0.5).astype(np.uint8))
 
 
+def _check_sigma(sigma: float) -> None:
+    """Raise DomainError unless the Gaussian taps for ``sigma`` are finite:
+    sigma must be positive and finite, with ``2 sigma**2`` a normal float."""
+    if not (sigma > 0 and isfinite(sigma) and 2.0 * sigma * sigma >= float_info.min):
+        raise DomainError(
+            f"sigma must be positive and finite with 2*sigma**2 >= {float_info.min!r}, "
+            f"got {sigma}"
+        )
+
+
 def _gaussian_taps(sigma: float) -> np.ndarray:
     import numpy as np
     radius = ceil(3.0 * sigma)
@@ -196,20 +207,39 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
     return taps / taps.sum()
 
 
+# Rows per strip in _smooth_float: a strip of a 1024-wide plane and its
+# product buffer stay in cache across all the taps, a whole plane does not.
+_STRIP_ROWS = 48
+
+
 def _smooth_float(plane: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian on a float plane, symmetric-reflect border,
-    fixed left-to-right tap order."""
+    fixed left-to-right tap order.
+
+    Each pass runs one strip of rows at a time through all the taps.  Every
+    value still sums the same products in the same order as a whole-plane
+    pass, so the bits do not depend on the strip height.
+    """
     import numpy as np
     taps = _gaussian_taps(sigma)
     radius = len(taps) // 2
     h, w = plane.shape
     padded = np.pad(plane, radius, mode="symmetric")
     rows = np.zeros((h + 2 * radius, w), dtype=np.float64)
-    for i, t in enumerate(taps):
-        rows += t * padded[:, i : i + w]
     out = np.zeros((h, w), dtype=np.float64)
-    for i, t in enumerate(taps):
-        out += t * rows[i : i + h, :]
+    term_buf = np.empty((min(_STRIP_ROWS, h + 2 * radius), w), dtype=np.float64)
+    for y0 in range(0, h + 2 * radius, _STRIP_ROWS):
+        acc = rows[y0 : y0 + _STRIP_ROWS]
+        term = term_buf[: len(acc)]
+        for i, t in enumerate(taps):
+            np.multiply(padded[y0 : y0 + len(acc), i : i + w], t, out=term)
+            acc += term
+    for y0 in range(0, h, _STRIP_ROWS):
+        acc = out[y0 : y0 + _STRIP_ROWS]
+        term = term_buf[: len(acc)]
+        for i, t in enumerate(taps):
+            np.multiply(rows[y0 + i : y0 + i + len(acc)], t, out=term)
+            acc += term
     return out
 
 
@@ -217,8 +247,7 @@ def gaussian_smooth(img: RasterImage, sigma: float) -> RasterImage:
     import numpy as np
     if img.channels != 1:
         raise RasterShapeError("smoothing expects a single-channel image")
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     smooth = _smooth_float(img.array().astype(np.float64), sigma)
     return RasterImage.from_array(np.floor(smooth + 0.5).clip(0, 255).astype(np.uint8))
 
@@ -314,15 +343,30 @@ def canny_edges(
         raise RasterShapeError("edge detection expects a single-channel image")
     if not (0.0 < low < high <= 1.0):
         raise DomainError(f"thresholds must satisfy 0 < low < high <= 1, got {low}, {high}")
+    _check_sigma(sigma)
     plane = _smooth_float(img.array().astype(np.float64), sigma)
     gx = _convolve3(plane, _SOBEL_X)
     gy = _convolve3(plane, _SOBEL_Y)
     del plane
     mag = np.hypot(gx, gy)
     h, w = mag.shape
+    peak = float(mag.max())
+    if peak <= 0.0:
+        return RasterImage.from_array(np.zeros((h, w), dtype=np.uint8))
+    weak = mag >= low * peak
+    strong = mag >= high * peak
 
-    angle = np.mod(np.arctan2(gy, gx), np.pi)
-    bins = np.mod(np.round(angle / (np.pi / 4.0)).astype(np.int64), 4)
+    # Only pixels at or above the low threshold can be weak, so only their
+    # direction bin is ever read.  The costly arctan2 and mod skip the rest,
+    # which stay 0.0; dividing and rounding 0.0 is cheaper than a mask.
+    angle = np.zeros((h, w), dtype=np.float64)
+    np.arctan2(gy, gx, out=angle, where=weak)
+    del gx, gy
+    np.mod(angle, np.pi, out=angle, where=weak)
+    np.divide(angle, np.pi / 4.0, out=angle)
+    np.rint(angle, out=angle)
+    bins = angle.astype(np.int8) & 3  # rounding gives 0..4; 4 (angle pi) is bin 0
+    del angle
 
     keep = np.zeros((h, w), dtype=bool)
     center, sector = mag[1 : h - 1, 1 : w - 1], bins[1 : h - 1, 1 : w - 1]
@@ -330,14 +374,9 @@ def canny_edges(
         before = mag[1 - dr : h - 1 - dr, 1 - dc : w - 1 - dc]
         after = mag[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc]
         keep[1 : h - 1, 1 : w - 1] |= (sector == b) & (center > before) & (center >= after)
-    del gx, gy, angle, bins, sector
-
-    peak = float(mag.max())
-    if peak <= 0.0:
-        return RasterImage.from_array(np.zeros((h, w), dtype=np.uint8))
-    strong_t, weak_t = high * peak, low * peak
-    strong = keep & (mag >= strong_t)
-    weak = keep & (mag >= weak_t)
+    del bins, sector
+    weak &= keep
+    strong &= keep
 
     edges = _hysteresis(strong, weak)
     edges[0, :] = edges[-1, :] = False

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import dface
 from conftest import frame_with, rigid_motion, symmetric_coords, write_golden_sequence
 from dface.cli import MAX_ORDER, _parse_axis, main
+from dface.config import MAX_SIGMA
 from dface.dihedral import cayley_csv
 from dface.face import build_frame, load_frame, save_frame, serialize_frame
 from dface.formatting import fmt
@@ -864,6 +865,34 @@ def test_config_canny_sigma_reaches_preprocess(tmp_path, capsys):
     write_pgm(src, np.zeros((8, 8)))
     code, _, err = run(capsys, "--config", str(cfg), "preprocess", str(src))
     assert code == 2 and err.startswith("error[config]:")
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    ["100000", "1e300", "50.000001", "1e-300", "0"],
+    ids=["huge", "overflows-radius", "above-cap", "taps-underflow", "zero"],
+)
+def test_config_bounds_canny_sigma(tmp_path, capsys, sigma):
+    # 100000 used to try a 2.62 TiB pad and 1e300 an overflowing radius,
+    # both as tracebacks; 1e-300 gave NaN taps and numpy warnings
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[canny]\nsigma = {sigma}\n")
+    src = tmp_path / "x.pgm"
+    write_pgm(src, np.zeros((4, 3)))
+    code, out, err = run(capsys, "--config", str(cfg), "preprocess", str(src))
+    assert (code, out) == (2, "") and err.startswith("error[config]: canny sigma must be")
+
+
+def test_config_accepts_canny_sigma_at_the_cap(tmp_path, capsys):
+    assert MAX_SIGMA == 50.0
+    cfg = tmp_path / "cap.ini"
+    cfg.write_text(f"[canny]\nsigma = {MAX_SIGMA}\n")
+    arr = np.zeros((16, 16))
+    arr[4:12, 4:12] = 255
+    src = tmp_path / "x.pgm"
+    write_pgm(src, arr)
+    code, out, err = run(capsys, "--config", str(cfg), "preprocess", str(src))
+    assert (code, err) == (0, "") and out.count(",") == 3
 
 
 # One fresh interpreter runs every array-free command, reports which of the

@@ -88,6 +88,25 @@ def test_frame_rejects_reconstructed_ids_out_of_range(base_frame, ids):
     assert FaceFrame(base_frame.xy, base_frame.states, frozenset({0, 23})).point(23).reconstructed
 
 
+@pytest.mark.parametrize("bad", [(math.nan, 140.0), (75.0, math.inf), (-math.inf, 140.0),
+                                 ("75", 140.0), (75.0, None)])
+def test_frame_rejects_non_finite_coordinates(base_frame, bad):
+    # a NaN point used to be accepted and saved as "nan", which parse_frame rejects
+    xy = list(base_frame.xy)
+    xy[14] = bad
+    with pytest.raises(SchemaError, match="pair of finite numbers"):
+        FaceFrame(tuple(xy), base_frame.states)
+
+
+def test_frame_rejects_a_reconstructed_id_without_coordinates(base_frame):
+    # the mark used to be lost on save, as "3,eyebrow,right,active,,,0"
+    xy = list(base_frame.xy)
+    xy[3] = None
+    with pytest.raises(SchemaError, match=r"reconstructed points have no coordinates: \[3\]"):
+        FaceFrame(tuple(xy), base_frame.states, frozenset({3}))
+    assert FaceFrame(tuple(xy), base_frame.states, frozenset({4})).point(4).reconstructed
+
+
 def test_points_are_views_labelled_by_the_layout(base_coords):
     frame = frame_with(base_coords, **{"9": None}).with_coords({3: (1.0, 2.0)}, reconstructed=True)
     assert frame.points == tuple(frame.point(pid) for pid in range(POINT_COUNT))

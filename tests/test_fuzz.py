@@ -23,6 +23,7 @@ _CONFIG = (
     b"[au]\nthreshold = 0.05\ntie_order = happiness,sadness,surprise,fear,anger,disgust\n"
     b"[canny]\nlow = 0.1\nhigh = 0.3\nsigma = 1.4\n[report]\nformat = csv\n"
 )
+_CANNY = b"[canny]\nlow = 0.1\nhigh = 0.3\nsigma = 1.4\n"
 _PGM = b"P5\n4 3\n255\n" + bytes(range(0, 240, 20))
 _PPM = b"P6\n2 2\n255\n" + bytes(range(12))
 _KERNEL = b"# blur\n1,2,1\n2,4,2\n1,2,1\n"
@@ -89,6 +90,19 @@ def test_config_never_escapes(data):
         neutral.write_bytes(_FRAME)
         expr.write_bytes(_MOVED)
         _check(["--config", str(config), "classify", str(neutral), str(expr)])
+
+
+@_EXAMPLES
+@given(_mutated(_CANNY))
+@example(b"[canny]\nsigma = 100000\n")
+@example(b"[canny]\nsigma = 1e300\n")
+@example(b"[canny]\nsigma = 1e-300\n")
+def test_preprocess_config_never_escapes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, image = Path(tmp, "c.ini"), Path(tmp, "image.pgm")
+        config.write_bytes(data)
+        image.write_bytes(_PGM)
+        _check(["--config", str(config), "preprocess", str(image)])
 
 
 @_EXAMPLES

@@ -1,19 +1,30 @@
 """Netpbm I/O, luma, smoothing, edge detection, and cropping."""
 
+import contextlib
 import hashlib
+import io
 import math
+import warnings
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from dface.cli import main
 from dface.errors import DomainError, ImageFormatError, RasterShapeError
 from dface.raster import (
+    _FORWARD_STEPS,
+    _SOBEL_X,
+    _SOBEL_Y,
+    _STRIP_ROWS,
     RasterImage,
     Rect,
+    _convolve3,
+    _gaussian_taps,
     _hysteresis,
+    _smooth_float,
     bounding_rect,
     canny_edges,
     crop,
@@ -347,6 +358,148 @@ def test_hysteresis_follows_a_serpentine_chain():
     strong[n - 2, 0] = True
     assert np.array_equal(_hysteresis(strong, weak), weak)
     assert not _hysteresis(np.zeros_like(weak), weak).any()
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 0.0, math.nan, math.inf, -math.inf, 1e-300, 1e-154])
+def test_sigma_without_finite_taps_is_a_domain_error(sigma):
+    # 1e-300 and 1e-154 put 2 sigma**2 below the normal range, where the taps
+    # would come out NaN; no numpy warning may reach stderr on the way
+    img = gray(np.arange(36).reshape(6, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="sigma must be positive and finite"):
+            gaussian_smooth(img, sigma)
+        with pytest.raises(DomainError, match="sigma must be positive and finite"):
+            canny_edges(img, 0.1, 0.3, sigma)
+        # the smallest sigma with 2 sigma**2 in the normal range still works
+        tiny = math.sqrt(2.2250738585072014e-308 / 2) * 1.0001
+        assert gaussian_smooth(img, tiny) == img
+        canny_edges(img, 0.1, 0.3, tiny)
+
+
+def _whole_plane_smooth_float(plane: np.ndarray, sigma: float) -> np.ndarray:
+    """The whole-plane separable pass that strip smoothing replaced, kept
+    verbatim as the reference for its bits."""
+    taps = _gaussian_taps(sigma)
+    radius = len(taps) // 2
+    h, w = plane.shape
+    padded = np.pad(plane, radius, mode="symmetric")
+    rows = np.zeros((h + 2 * radius, w), dtype=np.float64)
+    for i, t in enumerate(taps):
+        rows += t * padded[:, i : i + w]
+    out = np.zeros((h, w), dtype=np.float64)
+    for i, t in enumerate(taps):
+        out += t * rows[i : i + h, :]
+    return out
+
+
+def _every_pixel_direction_canny(arr: np.ndarray, low: float, high: float, sigma: float) -> bytes:
+    """Canny with the direction bin computed for every pixel before the
+    peak is known, as it was before directions were limited to candidates."""
+    plane = _whole_plane_smooth_float(arr.astype(np.float64), sigma)
+    gx = _convolve3(plane, _SOBEL_X)
+    gy = _convolve3(plane, _SOBEL_Y)
+    mag = np.hypot(gx, gy)
+    h, w = mag.shape
+
+    angle = np.mod(np.arctan2(gy, gx), np.pi)
+    bins = np.mod(np.round(angle / (np.pi / 4.0)).astype(np.int64), 4)
+
+    keep = np.zeros((h, w), dtype=bool)
+    center, sector = mag[1 : h - 1, 1 : w - 1], bins[1 : h - 1, 1 : w - 1]
+    for b, (dr, dc) in enumerate(_FORWARD_STEPS):
+        before = mag[1 - dr : h - 1 - dr, 1 - dc : w - 1 - dc]
+        after = mag[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc]
+        keep[1 : h - 1, 1 : w - 1] |= (sector == b) & (center > before) & (center >= after)
+
+    peak = float(mag.max())
+    if peak <= 0.0:
+        return bytes(h * w)
+    strong = keep & (mag >= high * peak)
+    weak = keep & (mag >= low * peak)
+    edges = _hysteresis(strong, weak)
+    edges[0, :] = edges[-1, :] = False
+    edges[:, 0] = edges[:, -1] = False
+    return np.where(edges, 255, 0).astype(np.uint8).tobytes()
+
+
+def _test_image(kind: str, h: int, w: int, channels: int, seed: int) -> np.ndarray:
+    """Dense-edge noise, a sparse-edge disk with +-3 jitter, or a constant."""
+    rng = np.random.default_rng(seed)
+    shape = (h, w) if channels == 1 else (h, w, channels)
+    if kind == "noise":
+        return rng.integers(0, 256, shape, dtype=np.uint8)
+    if kind == "constant":
+        return np.full(shape, int(rng.integers(0, 256)), dtype=np.uint8)
+    yy, xx = np.mgrid[0:h, 0:w]
+    cx, cy = w * rng.uniform(0.3, 0.7), h * rng.uniform(0.3, 0.7)
+    r = rng.uniform(0.2, 0.35) * min(w, h)
+    inside = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+    if channels == 3:
+        inside = inside[:, :, None]
+    levels = np.where(inside, rng.integers(160, 230), rng.integers(20, 60))
+    return np.clip(levels + rng.integers(-3, 4, shape), 0, 255).astype(np.uint8)
+
+
+@given(
+    h=st.sampled_from([1, _STRIP_ROWS - 1, _STRIP_ROWS, _STRIP_ROWS + 1, 2 * _STRIP_ROWS + 1]),
+    w=st.integers(1, 80),
+    kind=st.sampled_from(["noise", "disk", "constant"]),
+    sigma=st.sampled_from([0.5, 1.0, 1.4, 2.5, 5.0]),
+    thresholds=st.tuples(st.floats(0.001, 1.0), st.floats(0.001, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=2 * _STRIP_ROWS + 1, w=80, kind="noise", sigma=5.0, thresholds=(0.1, 0.3), seed=0)
+@example(h=_STRIP_ROWS + 1, w=1, kind="disk", sigma=0.5, thresholds=(0.5, 1.0), seed=1)
+def test_strip_smoothing_and_candidate_directions_keep_the_bits(
+    h, w, kind, sigma, thresholds, seed
+):
+    low, high = sorted(thresholds)
+    assume(low < high)
+    arr = _test_image(kind, h, w, 1, seed)
+    plane = arr.astype(np.float64)
+    want = _whole_plane_smooth_float(plane, sigma)
+    assert _smooth_float(plane, sigma).tobytes() == want.tobytes()
+    smoothed = np.floor(want + 0.5).clip(0, 255).astype(np.uint8)
+    assert gaussian_smooth(gray(arr), sigma).samples == smoothed.tobytes()
+    assert canny_edges(gray(arr), low, high, sigma).samples == _every_pixel_direction_canny(arr, low, high, sigma)
+
+
+def _preprocess(tmp_path, arr: np.ndarray) -> tuple[str, str, str]:
+    """stdout and output sha256 of ``dface preprocess`` on ``arr``, and the
+    sha256 of the edge map it crops by, which the output shows only through
+    its bounding rectangle."""
+    img = RasterImage.from_array(arr)
+    src, dst = tmp_path / "in.pnm", tmp_path / "out.pgm"
+    src.write_bytes(write_image(img))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["preprocess", str(src), "-o", str(dst)]) == 0
+    edges = canny_edges(gaussian_smooth(to_grayscale(img), 1.4), 0.1, 0.3, 1.4)
+    return (out.getvalue(), hashlib.sha256(dst.read_bytes()).hexdigest(),
+            hashlib.sha256(edges.samples).hexdigest())
+
+
+@pytest.mark.parametrize(
+    "kind, side, channels, rect, digest, edges_digest",
+    [
+        ("noise", 1024, 1, "1,1,1023,1023",
+         "52bb201aa9896bc66823d9125b506e125d8d0b8c34b73655b128947e113c29a6",
+         "cb18018b5f27cf6c7b1c9a58ee20afddec6d85956496ad44665323758506d57a"),
+        ("disk", 1024, 1, "407,388,969,950",
+         "bd730c58ead1967acbd1bdb087582478329f443b03e38e03130fc7321350c385",
+         "2d6156d508b94f1a2012c0e1b9a81b35d6b0b79c7bc6960bab1120b02bf5f780"),
+        ("disk", 512, 3, "204,194,485,475",
+         "2dd05c81e770aaacb171ab429843d941c270e1a0e8c75be0cbf5f2e918cb2368",
+         "15416de239d9e20b42d12cd303ae0659098ca2334c732c1cc7a136c8158804da"),
+    ],
+)
+def test_preprocess_golden_on_large_images(
+    tmp_path, kind, side, channels, rect, digest, edges_digest
+):
+    # 1024 rows span many smoothing strips; the default config is in use
+    arr = _test_image(kind, side, side, channels, seed=20171)
+    assert _preprocess(tmp_path, arr) == (rect + "\n", digest, edges_digest)
 
 
 def test_canny_noise_golden():
