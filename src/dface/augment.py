@@ -12,7 +12,6 @@ permutation realizes exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -20,6 +19,7 @@ from .dihedral import GroupElement, element_name, elements, matrix_of
 from .errors import DfaceError, RasterShapeError, UnsupportedOrderError
 from .face import POINT_COUNT, FaceFrame, counterpart, load_frame, save_frame
 from .raster import RasterImage, read_image, write_image
+from .record import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,14 +107,14 @@ def kernel_bank(kernel: np.ndarray) -> list[tuple[str, np.ndarray]]:
     return [(element_name(g), transform_kernel(g, kernel)) for g in elements(4)]
 
 
-@dataclass(frozen=True)
+@record
 class OrbitEntry:
     element: str
     path: str
     sha256: str
 
 
-@dataclass(frozen=True)
+@record
 class OrbitManifest:
     source_id: str
     entries: tuple[OrbitEntry, ...]
@@ -151,7 +151,7 @@ def orbit(img: RasterImage, source_id: str = "image") -> tuple[OrbitManifest, di
     return OrbitManifest(source_id, tuple(entries), len(hashes)), images
 
 
-@dataclass(frozen=True)
+@record
 class AugmentSummary:
     processed: int
     written: int

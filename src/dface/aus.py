@@ -13,7 +13,6 @@ by Jaccard overlap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -33,6 +32,7 @@ from .face import (
     interocular_distance,
 )
 from .formatting import fmt, ordered_mean
+from .record import record
 from .symmetry import reconstruct_occluded
 
 __all__ = [
@@ -74,14 +74,14 @@ class Side(str, Enum):
     BILATERAL = "bilateral"
 
 
-@dataclass(frozen=True)
+@record
 class ActionUnit:
     number: int
     descriptor: str
     activity_class: ActivityClass
 
 
-@dataclass(frozen=True)
+@record
 class EmotionRule:
     emotion: Emotion
     full_aus: frozenset[int]
@@ -125,7 +125,7 @@ _REFINED_RULES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class ActionUnitRuleSet:
     """Immutable bundle of the full AU and emotion rule tables."""
 
@@ -179,7 +179,7 @@ def rule_tables() -> ActionUnitRuleSet:
     return ActionUnitRuleSet(units, rules)
 
 
-@dataclass(frozen=True)
+@record
 class AUActivation:
     au: ActionUnit
     side: Side
@@ -265,7 +265,7 @@ def detect_active_aus(
     return activations
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationResult:
     """`label` is the top emotion, or "Neutral" when nothing fired (the
     ranking is empty in that case)."""

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .aus import Emotion
 from .errors import ConfigError, DomainError
 from .raster import _check_sigma
+from .record import record
+
+if TYPE_CHECKING:
+    import configparser
 
 __all__ = ["Config", "load_config", "ENV_VAR", "MAX_SIGMA"]
 
@@ -30,13 +33,13 @@ _KNOWN = {
 _FORMATS = ("csv", "svg", "both")
 
 
-@dataclass(frozen=True)
+@record
 class Config:
     au_threshold: float = 0.05
     canny_low: float = 0.1
     canny_high: float = 0.3
     canny_sigma: float = 1.4
-    tie_order: tuple[Emotion, ...] = field(default_factory=lambda: tuple(Emotion))
+    tie_order: tuple[Emotion, ...] = tuple(Emotion)
     report_format: str = "both"
 
     def __post_init__(self):
@@ -85,12 +88,18 @@ def load_config(path: str | Path | None = None) -> Config:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
     try:
-        cp.read(path, encoding="utf-8")
-        return _config_from(cp)
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file is not UTF-8 text: {exc.reason}") from None
+    import configparser  # only when a file is given: it adds to every start-up
+
+    cp = configparser.ConfigParser()
+    try:
+        cp.read_string(text, source=str(path))
+        return _config_from(cp)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 

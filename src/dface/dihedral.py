@@ -16,9 +16,9 @@ y upward, origin at the region center) and rotations are counterclockwise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedOrderError
+from .record import record
 
 __all__ = [
     "GroupElement",
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class GroupElement:
     """One element ``s^j r^k`` of the dihedral group of order ``2n``.
 
@@ -167,7 +167,7 @@ def parse_element(n: int, name: str) -> GroupElement:
     raise DomainError(f"unknown element name {name!r}")
 
 
-@dataclass(frozen=True)
+@record
 class TransformMatrix:
     """Signed 2x2 integer matrix acting on plane coordinates (y up)."""
 
@@ -229,20 +229,20 @@ def cayley_csv(n: int) -> str:
     return "".join(",".join([names[_product(n, a, b)] for b in names]) + "\n" for a in names)
 
 
-@dataclass(frozen=True)
+@record
 class AxiomViolation:
     axiom: str
     witness: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class AxiomCheck:
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     order_n: int
     element_count: int
@@ -273,7 +273,7 @@ def verify_group_axioms(n: int) -> AxiomReport:
     checks: list[AxiomCheck] = []
     violations: list[AxiomViolation] = []
 
-    def record(name: str, bad: list[AxiomViolation], detail_ok: str) -> None:
+    def check(name: str, bad: list[AxiomViolation], detail_ok: str) -> None:
         violations.extend(bad)
         if bad:
             witness = ";".join("(" + ",".join(v.witness) + ")" for v in bad[:3])
@@ -282,7 +282,7 @@ def verify_group_axioms(n: int) -> AxiomReport:
             checks.append(AxiomCheck(name, True, detail_ok))
 
     distinct = len(set(els))
-    record(
+    check(
         "element_count",
         [] if distinct == 2 * n else [AxiomViolation("element_count", (str(distinct),))],
         f"{2 * n} distinct elements",
@@ -294,21 +294,21 @@ def verify_group_axioms(n: int) -> AxiomReport:
         for b in pairs
         if _product(n, a, b) not in names
     ]
-    record("closure", bad, f"{len(els) ** 2} products stay in the group")
+    check("closure", bad, f"{len(els) ** 2} products stay in the group")
 
     bad = [
         AxiomViolation("identity", (names[g],))
         for g in pairs
         if _product(n, e, g) != g or _product(n, g, e) != g
     ]
-    record("identity", bad, "e * g == g * e == g for all elements")
+    check("identity", bad, "e * g == g * e == g for all elements")
 
     bad = [
         AxiomViolation("inverse", (names[g],))
         for g, h in zip(pairs, map(_pair, map(inverse, els)))
         if _product(n, g, h) != e or _product(n, h, g) != e
     ]
-    record("inverse", bad, "two-sided inverses exist for all elements")
+    check("inverse", bad, "two-sided inverses exist for all elements")
 
     if n <= _EXHAUSTIVE_ASSOC_LIMIT:
         mode = "exhaustive"
@@ -325,24 +325,24 @@ def verify_group_axioms(n: int) -> AxiomReport:
         for a, b, c in triples
         if _product(n, _product(n, a, b), c) != _product(n, a, _product(n, b, c))
     ]
-    record("associativity", bad, f"{mode} over {len(triples)} triples")
+    check("associativity", bad, f"{mode} over {len(triples)} triples")
 
     bad = [] if power(rotation(n), n) == identity(n) else [AxiomViolation("rotation_order", ("r",))]
-    record("rotation_order", bad, "r^n == e")
+    check("rotation_order", bad, "r^n == e")
 
     bad = [
         AxiomViolation("reflection_involution", (names[1, k],))
         for k in range(n)
         if _product(n, (1, k), (1, k)) != e
     ]
-    record("reflection_involution", bad, "(s r^k)^2 == e for all k")
+    check("reflection_involution", bad, "(s r^k)^2 == e for all k")
 
     bad = [
         AxiomViolation("reflection_conjugation", ("s", names[0, k], "s"))
         for k in range(n)
         if _product(n, _product(n, (1, 0), (0, k)), (1, 0)) != (0, -k % n)
     ]
-    record("reflection_conjugation", bad, "s r^k s == r^(-k) for all k")
+    check("reflection_conjugation", bad, "s r^k s == r^(-k) for all k")
 
     return AxiomReport(
         order_n=n,

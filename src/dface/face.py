@@ -18,10 +18,8 @@ lids are ``stable`` anchors used for normalization.
 
 from __future__ import annotations
 
-import configparser
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -33,6 +31,7 @@ from .errors import (
     SchemaError,
 )
 from .formatting import fmt as _format_float, ordered_mean
+from .record import record
 
 __all__ = [
     "Region",
@@ -157,7 +156,7 @@ def _check_id(point_id: int) -> None:
         raise SchemaError(f"point id out of range: {point_id}")
 
 
-@dataclass(frozen=True)
+@record
 class KeyPoint:
     """The view of one key point that ``FaceFrame.point`` returns; ``x``/``y``
     are None when the point is occluded, ``reconstructed`` marks coordinates
@@ -188,7 +187,7 @@ class KeyPoint:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
+@record
 class FaceFrame:
     """An immutable snapshot of the 24 key points, indexed by point id.
 
@@ -197,8 +196,8 @@ class FaceFrame:
     whose coordinates were filled in by mirroring.  Region and laterality
     live only in ``CANONICAL_LAYOUT``; ``point`` and ``points`` give the
     per-point ``KeyPoint`` view.  Raises SchemaError unless each ``xy``
-    entry is None or a finite ``(x, y)`` tuple and each reconstructed id is
-    in 0..23 and has coordinates.
+    entry is None or a finite ``(x, y)`` tuple, each state is a
+    ``PointState`` and each reconstructed id is in 0..23 and has coordinates.
     """
 
     xy: tuple[tuple[float, float] | None, ...]
@@ -209,6 +208,9 @@ class FaceFrame:
         for values in (self.xy, self.states):
             if len(values) != POINT_COUNT:
                 raise SchemaError(f"a frame needs {POINT_COUNT} points, got {len(values)}")
+        if set(map(type, self.states)) != {PointState}:
+            bad = next(s for s in self.states if type(s) is not PointState)
+            raise SchemaError(f"point states must be PointState members, got {bad!r}")
         for p in self.xy:
             if p is None:
                 continue
@@ -399,7 +401,7 @@ def save_frame(path: str | Path, frame: FaceFrame) -> None:
     Path(path).write_text(serialize_frame(frame), encoding="utf-8")
 
 
-@dataclass(frozen=True)
+@record
 class FrameSequence:
     """Ordered frames of one recording plus optional metadata.
 
@@ -469,9 +471,12 @@ def load_sequence(directory: str | Path) -> FrameSequence:
     ref = None
     ini = directory / "sequence.ini"
     if ini.exists():
+        import configparser  # only for a sequence that has one: it adds to every start-up
+
         cp = configparser.ConfigParser()
         try:
-            cp.read(ini, encoding="utf-8")
+            # an unreadable file raises OSError here, which ``read`` would swallow
+            cp.read_string(ini.read_text(encoding="utf-8"), source=str(ini))
             if cp.has_option("sequence", "interocular_ref"):
                 ref = _ini_number(cp.get("sequence", "interocular_ref"), "interocular_ref")
             if cp.has_option("sequence", "timestamps"):

@@ -9,12 +9,12 @@ binary PGM (P5) and PPM (P6) with maxval 255 are supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, isfinite
 from sys import float_info
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ImageFormatError, RasterShapeError
+from .record import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class RasterImage:
     """Immutable 8-bit image; ``samples`` is the row-major payload, one or
     three bytes per pixel."""
@@ -86,7 +86,7 @@ class RasterImage:
         return self.width == self.height
 
 
-@dataclass(frozen=True)
+@record
 class Rect:
     """Pixel rectangle, inclusive x0/y0, exclusive x1/y1."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateFaceError,
@@ -32,6 +31,7 @@ from .face import (
     interocular_distance,
 )
 from .formatting import fmt, ordered_mean
+from .record import record
 
 __all__ = [
     "MidlineAxis",
@@ -51,7 +51,7 @@ _REGION_ORDER = (Region.EYEBROW, Region.EYE, Region.LIP_CORNER, Region.LIP_MIDDL
 _PAIR_REGIONS = tuple(CANONICAL_LAYOUT[left][0] for left, _ in LATERAL_PAIRS)
 
 
-@dataclass(frozen=True)
+@record
 class MidlineAxis:
     """A line through ``point`` along unit vector ``direction`` (oriented
     with non-negative y so "down the face" is consistent in raster
@@ -276,7 +276,7 @@ def reconstruct_occluded(frame: FaceFrame, axis: MidlineAxis | None = None) -> F
     return frame.with_coords(updates, reconstructed=True)
 
 
-@dataclass(frozen=True)
+@record
 class AsymmetryReport:
     """Aggregate scores for one recording; per_region holds the same two
     scores restricted to each region's points."""

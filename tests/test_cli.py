@@ -366,6 +366,19 @@ def test_bad_sequence_ini_is_schema_error(tmp_path, capsys, ini):
     assert (code, out) == (3, "") and err.startswith("error[schema]:")
 
 
+def test_unreadable_sequence_ini_is_io_error(tmp_path, capsys):
+    # a sequence.ini that cannot be read used to be skipped without a word,
+    # and movement fell back to frame 0's eye distance
+    seqdir = tmp_path / "seq"
+    seqdir.mkdir()
+    write_frame(seqdir / "frame_0.csv")
+    write_frame(seqdir / "frame_1.csv", **{"14": (75.0, 152.0)})
+    (seqdir / "sequence.ini").mkdir()
+    code, out, err = run(capsys, "asymmetry", str(seqdir), "--movement")
+    assert (code, out) == (3, "")
+    assert err.startswith("error[io]:") and "sequence.ini" in err
+
+
 def test_reconstruct_round_trip(tmp_path, capsys):
     frame_path = write_frame(tmp_path / "f.csv", **{"2": None})
     out_path = tmp_path / "fixed.csv"
@@ -803,6 +816,26 @@ def test_config_non_utf8_is_config_error(tmp_path, capsys, monkeypatch):
     assert (code, out) == (2, "") and err.startswith("error[config]:")
 
 
+def test_unreadable_config_is_config_error(tmp_path, capsys, monkeypatch):
+    # configparser's read skips a file it cannot open, so a directory used to
+    # run the command with the built-in defaults and exit 0
+    code, out, err = run(capsys, "--config", str(tmp_path), "cayley", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[config]: cannot read config file:") and str(tmp_path) in err
+    monkeypatch.setenv("DFACE_CONFIG", str(tmp_path))
+    code, out, err = run(capsys, "cayley", "2")
+    assert (code, out) == (2, "") and err.startswith("error[config]: cannot read config file:")
+
+
+def test_config_parse_errors_name_the_file(tmp_path, capsys):
+    # as a quoted path; it used to be printed as PosixPath('...')
+    cfg = tmp_path / "dup.ini"
+    cfg.write_text("[au]\nthreshold = 0.1\nthreshold = 0.2\n")
+    code, _, err = run(capsys, "--config", str(cfg), "cayley", "2")
+    assert code == 2
+    assert err.startswith(f"error[config]: malformed config: While reading from {str(cfg)!r} [line  3]")
+
+
 def test_config_environment_fallback(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "env.ini"
     cfg.write_text("[au]\nthreshold = 0.2\n")
@@ -908,7 +941,8 @@ def run(argv):
 
 plan = json.loads(sys.argv[1])
 codes = [run(argv)[0] for argv in plan["array_free"]]
-loaded = [name for name in ("numpy", "hashlib") if name in sys.modules]
+loaded = [name for name in ("numpy", "hashlib", "dataclasses", "configparser")
+          if name in sys.modules]
 midline = run(plan["midline"])
 print(json.dumps([codes, loaded, midline, "numpy" in sys.modules]))
 """

@@ -1,5 +1,6 @@
 """The package imports nothing beyond the standard library and numpy, and
-loads numpy and hashlib only inside the functions that use them."""
+loads numpy, hashlib, configparser and dataclasses only inside the functions
+that use them."""
 
 import ast
 import sys
@@ -9,9 +10,10 @@ import dface
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "dface"}
 
-# Importing either costs every command about 100 ms of start-up, so they are
-# imported by the functions that need them, never when a module loads.
-LAZY = {"numpy", "hashlib"}
+# Importing numpy or hashlib costs every command about 100 ms of start-up,
+# configparser a few ms, and dataclasses (with inspect, dis and ast) plus its
+# generated methods about 30 ms, so none is imported when a module loads.
+LAZY = {"numpy", "hashlib", "configparser", "dataclasses"}
 
 SOURCES = sorted(Path(dface.__file__).parent.glob("*.py"))
 

@@ -107,6 +107,17 @@ def test_frame_rejects_a_reconstructed_id_without_coordinates(base_frame):
     assert FaceFrame(tuple(xy), base_frame.states, frozenset({4})).point(4).reconstructed
 
 
+@pytest.mark.parametrize("state", ["active", None, 1])
+def test_frame_rejects_states_that_are_not_point_states(base_frame, state):
+    # "active" equals PointState.ACTIVE, and such a frame used to reach
+    # serialize_frame, which failed with a bare AttributeError
+    with pytest.raises(SchemaError, match=f"must be PointState members, got {state!r}"):
+        FaceFrame(base_frame.xy, (state,) * POINT_COUNT)
+    states = base_frame.states[:5] + (state,) + base_frame.states[6:]
+    with pytest.raises(SchemaError, match="must be PointState members"):
+        FaceFrame(base_frame.xy, states)
+
+
 def test_points_are_views_labelled_by_the_layout(base_coords):
     frame = frame_with(base_coords, **{"9": None}).with_coords({3: (1.0, 2.0)}, reconstructed=True)
     assert frame.points == tuple(frame.point(pid) for pid in range(POINT_COUNT))

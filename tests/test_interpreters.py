@@ -59,14 +59,19 @@ def test_array_free_commands_match_across_interpreters(tmp_path):
     neutral, expr = tmp_path / "neutral.csv", tmp_path / "expr.csv"
     save_frame(neutral, frame_with(symmetric_coords()))
     save_frame(expr, frame_with(symmetric_coords(), **{"14": (75.0, 134.0), "17": (125.0, 134.0)}))
+    config = tmp_path / "config.ini"
+    config.write_text("[au]\nthreshold = 0.02\n"
+                      "tie_order = Surprise, Fear, Anger, Disgust, Sadness, Happiness\n")
     commands = [
         ["cayley", "8"],
         ["verify", "8"],
         ["verify", "16"],  # sampled associativity: the seeded random.Random draws
         ["aus", str(neutral), str(expr)],
+        ["classify", str(neutral), str(expr)],
+        ["--config", str(config), "classify", str(neutral), str(expr)],
     ]
     expected = _stdout_digests(sys.executable, commands)
-    assert [code for code, _ in expected] == [0, 0, 0, 0]
+    assert [code for code, _ in expected] == [0] * len(commands)
     for exe in others:
         assert _stdout_digests(exe, commands) == expected, exe
 

@@ -1,0 +1,216 @@
+"""The contract every public frozen value class keeps: construction forms,
+equality and hashing by the field tuple, repr, immutability, copying and
+pickling, and the checks each class runs on construction."""
+
+import copy
+import pickle
+
+import pytest
+
+from dface.augment import AugmentSummary, OrbitEntry, OrbitManifest
+from dface.aus import (
+    ActionUnit,
+    ActionUnitRuleSet,
+    ActivityClass,
+    AUActivation,
+    ClassificationResult,
+    Emotion,
+    EmotionRule,
+    Side,
+)
+from dface.config import Config
+from dface.dihedral import (
+    AxiomCheck,
+    AxiomReport,
+    AxiomViolation,
+    GroupElement,
+    TransformMatrix,
+)
+from dface.errors import ConfigError, DomainError, RasterShapeError, SchemaError
+from dface.face import FaceFrame, FrameSequence, KeyPoint, PointState, Region
+from dface.raster import RasterImage, Rect
+from dface.symmetry import AsymmetryReport, MidlineAxis
+
+_XY = tuple((float(i), float(2 * i)) for i in range(24))
+_FRAME = FaceFrame(_XY)
+_UNIT = ActionUnit(1, "Inner Brow Raiser", ActivityClass.ACTIVE)
+_RULE = EmotionRule(Emotion.HAPPINESS, frozenset({6, 12}), frozenset({12}))
+_CHECK = AxiomCheck("closure", False, "1 violations")
+_VIOLATION = AxiomViolation("closure", ("r", "s"))
+_ENTRY = OrbitEntry("r", "img_r.pgm", "0" * 64)
+
+# One instance of each class, built positionally with every field given.
+SAMPLES = {
+    OrbitEntry: ("e", "img_e.pgm", "f" * 64),
+    OrbitManifest: ("img", (_ENTRY,), 1),
+    AugmentSummary: (2, 1, (("bad.pgm", "shape"),)),
+    ActionUnit: (2, "Outer Brow Raiser", ActivityClass.ACTIVE),
+    EmotionRule: (Emotion.SADNESS, frozenset({1, 4, 15}), frozenset({1, 15})),
+    ActionUnitRuleSet: ((_UNIT,), (_RULE,)),
+    AUActivation: (_UNIT, Side.LEFT, 0.25, True),
+    ClassificationResult: ("Happiness", ((Emotion.HAPPINESS, 1.0),)),
+    Config: (0.1, 0.2, 0.4, 2.0, tuple(reversed(Emotion)), "csv"),
+    GroupElement: (4, 1, 3),
+    TransformMatrix: ("V", ((-1, 0), (0, 1))),
+    AxiomViolation: ("identity", ("e",)),
+    AxiomCheck: ("closure", True, "16 products stay in the group"),
+    AxiomReport: (2, 4, "exhaustive", (_CHECK,), (_VIOLATION,)),
+    KeyPoint: (3, PointState.ACTIVE, 1.0, 2.0, True),
+    FaceFrame: (_XY, (PointState.PASSIVE,) * 24, frozenset({5})),
+    FrameSequence: ((_FRAME, _FRAME), (0.0, 0.5), 60.0),
+    RasterImage: (2, 1, 1, b"\x00\xff"),
+    Rect: (0, 1, 3, 4),
+    MidlineAxis: ((1.0, 2.5), (0.0, 1.0), 0.125, True),
+    AsymmetryReport: (0.5, 0.25, {Region.EYE: (0.5, 0.25)}, 3),
+}
+
+# Instances built with their trailing fields left at the defaults.
+DEFAULTED = [
+    (Config(), Config(0.05, 0.1, 0.3, 1.4, tuple(Emotion), "both")),
+    (Config(0.2), Config(au_threshold=0.2)),
+    (KeyPoint(3, PointState.STABLE), KeyPoint(3, PointState.STABLE, None, None, False)),
+    (KeyPoint(3, PointState.STABLE, 1.0, 2.0), KeyPoint(3, PointState.STABLE, 1.0, 2.0, False)),
+    (FaceFrame(_XY), FaceFrame(_XY, _FRAME.states, frozenset())),
+    (FrameSequence((_FRAME,)), FrameSequence((_FRAME,), None, None)),
+    (MidlineAxis((0.0, 0.0), (1.0, 0.0), 0.0), MidlineAxis((0.0, 0.0), (1.0, 0.0), 0.0, False)),
+]
+
+CLASSES = list(SAMPLES)
+
+
+def _fields(obj) -> tuple:
+    return tuple(getattr(obj, name) for name in type(obj).__match_args__)
+
+
+def test_every_record_class_has_a_sample():
+    assert len(CLASSES) == 21
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_positional_keyword_and_mixed_construction_agree(cls):
+    args = SAMPLES[cls]
+    names = cls.__match_args__
+    assert len(names) == len(args)
+    obj = cls(*args)
+    assert _fields(obj) == args
+    assert cls(**dict(zip(names, args))) == obj
+    assert cls(*args[:1], **dict(zip(names[1:], args[1:]))) == obj
+
+
+@pytest.mark.parametrize("short, full", DEFAULTED)
+def test_trailing_defaults(short, full):
+    assert short == full and _fields(short) == _fields(full)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_bad_argument_lists_raise_type_error(cls):
+    args = SAMPLES[cls]
+    names = cls.__match_args__
+    with pytest.raises(TypeError):
+        cls(*args, None)
+    with pytest.raises(TypeError):
+        cls(*args, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(*args, **{names[0]: args[0]})
+    if cls is not Config:  # every Config field has a default
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(**dict(zip(names[1:], args[1:])))
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_equality_and_hash_follow_the_field_tuple(cls):
+    args = SAMPLES[cls]
+    obj, twin = cls(*args), cls(*args)
+    assert obj == twin and not obj != twin
+    assert obj != args and obj.__eq__(args) is NotImplemented
+    try:
+        expected = hash(args)
+    except TypeError:  # a dict field: neither the tuple nor the record hashes
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(obj) == hash(twin) == expected
+        assert len({obj, twin}) == 1
+
+
+def test_instances_of_different_classes_are_unequal():
+    check, violation = AxiomCheck("a", "b", "c"), OrbitEntry("a", "b", "c")
+    assert _fields(check) == _fields(violation)
+    assert check != violation and not check == violation
+    assert GroupElement(4, 0, 1) != GroupElement(8, 0, 1)
+
+    class Element(GroupElement):  # same fields and values, another class
+        pass
+
+    assert Element(4, 0, 1) != GroupElement(4, 0, 1) and GroupElement(4, 0, 1) != Element(4, 0, 1)
+    assert Rect(0, 0, 1, 1) != Rect(0, 0, 1, 2)
+
+
+def test_pinned_reprs():
+    assert repr(AxiomReport(*SAMPLES[AxiomReport])) == (
+        "AxiomReport(order_n=2, element_count=4, associativity_mode='exhaustive', "
+        "checks=(AxiomCheck(name='closure', passed=False, detail='1 violations'),), "
+        "violations=(AxiomViolation(axiom='closure', witness=('r', 's')),))"
+    )
+    assert repr(MidlineAxis((1.0, 2.5), (0.0, 1.0), 0.125)) == (
+        "MidlineAxis(point=(1.0, 2.5), direction=(0.0, 1.0), fit_residual=0.125, degenerate=False)"
+    )
+    assert repr(Rect(0, 1, 3, 4)) == "Rect(x0=0, y0=1, x1=3, y1=4)"
+    assert repr(GroupElement(4, 1, 7)) == "GroupElement(D4, sr3)"
+    assert repr(Config()) == (
+        "Config(au_threshold=0.05, canny_low=0.1, canny_high=0.3, canny_sigma=1.4, "
+        "tie_order=(<Emotion.HAPPINESS: 'Happiness'>, <Emotion.SADNESS: 'Sadness'>, "
+        "<Emotion.SURPRISE: 'Surprise'>, <Emotion.FEAR: 'Fear'>, <Emotion.ANGER: 'Anger'>, "
+        "<Emotion.DISGUST: 'Disgust'>), report_format='both')"
+    )
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    obj = cls(*SAMPLES[cls])
+    name = cls.__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(obj, name, SAMPLES[cls][0])
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 1
+    assert _fields(obj) == SAMPLES[cls]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_copies_and_pickles_compare_equal(cls):
+    obj = cls(*SAMPLES[cls])
+    for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(clone) is cls
+        assert clone == obj and _fields(clone) == _fields(obj)
+
+
+def test_match_args_name_the_fields_in_order():
+    match GroupElement(8, 1, 11):
+        case GroupElement(n, j, k):
+            assert (n, j, k) == (8, 1, 3)
+        case _:
+            pytest.fail("GroupElement did not match positionally")
+
+
+def test_post_init_checks_still_run():
+    with pytest.raises(RasterShapeError, match="degenerate rectangle"):
+        Rect(3, 0, 1, 1)
+    with pytest.raises(RasterShapeError, match="payload holds 1 bytes"):
+        RasterImage(2, 1, 1, b"\x00")
+    reduced = GroupElement(4, 0, 7)
+    assert reduced.rotation_k == 3 and GroupElement(4, 0, -1).rotation_k == 3
+    assert reduced == GroupElement(4, 0, 3) and hash(reduced) == hash((4, 0, 3))
+    with pytest.raises(DomainError):
+        GroupElement(0, 0, 0)
+    with pytest.raises(ConfigError, match="au threshold"):
+        Config(au_threshold=0.0)
+    with pytest.raises(ConfigError, match="tie_order"):
+        Config(tie_order=(Emotion.HAPPINESS,))
+    with pytest.raises(SchemaError, match="axis direction"):
+        MidlineAxis((0.0, 0.0), (1.0, 1.0), 0.0)
+    with pytest.raises(SchemaError, match="at least one frame"):
+        FrameSequence(())
