@@ -58,6 +58,9 @@ class Config:
                 f"canny thresholds must satisfy 0 < low < high <= 1, "
                 f"got {self.canny_low}, {self.canny_high}"
             )
+        if not (isinstance(self.tie_order, tuple)
+                and all(isinstance(e, Emotion) for e in self.tie_order)):
+            raise ConfigError(f"tie_order must be a tuple of Emotion members, got {self.tie_order!r}")
         if sorted(e.value for e in self.tie_order) != sorted(e.value for e in Emotion):
             raise ConfigError("tie_order must list each emotion exactly once")
         if self.report_format not in _FORMATS:

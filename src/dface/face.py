@@ -416,6 +416,8 @@ class FrameSequence:
     def __post_init__(self):
         if not self.frames:
             raise SchemaError("a sequence needs at least one frame")
+        if not all(isinstance(f, FaceFrame) for f in self.frames):
+            raise SchemaError("every frame of a sequence must be a FaceFrame")
         if self.timestamps is not None:
             if len(self.timestamps) != len(self.frames):
                 raise SchemaError(

@@ -207,8 +207,9 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-# Rows per strip in _smooth_float: a strip of a 1024-wide plane and its
-# product buffer stay in cache across all the taps, a whole plane does not.
+# Rows per strip in _smooth_float and _convolve3: a strip of a 1024-wide
+# plane and its product buffer stay in cache across all the taps, a whole
+# plane does not.
 _STRIP_ROWS = 48
 
 
@@ -249,7 +250,10 @@ def gaussian_smooth(img: RasterImage, sigma: float) -> RasterImage:
         raise RasterShapeError("smoothing expects a single-channel image")
     _check_sigma(sigma)
     smooth = _smooth_float(img.array().astype(np.float64), sigma)
-    return RasterImage.from_array(np.floor(smooth + 0.5).clip(0, 255).astype(np.uint8))
+    smooth += 0.5
+    np.floor(smooth, out=smooth)
+    np.clip(smooth, 0, 255, out=smooth)
+    return RasterImage.from_array(smooth.astype(np.uint8))
 
 
 _SOBEL_X = ((-1.0, 0.0, 1.0), (-2.0, 0.0, 2.0), (-1.0, 0.0, 1.0))
@@ -263,20 +267,27 @@ _FORWARD_STEPS = ((0, 1), (1, 1), (1, 0), (1, -1))
 
 
 def _convolve3(plane: np.ndarray, kernel: tuple[tuple[float, ...], ...]) -> np.ndarray:
-    """Valid 3x3 correlation embedded back at full size, zero border."""
+    """Valid 3x3 correlation embedded back at full size, zero border.
+
+    Like the smoothing passes it runs one strip of rows at a time through
+    the taps, each value summing the same products in the same order.
+    """
     import numpy as np
     h, w = plane.shape
     out = np.zeros((h, w), dtype=np.float64)
     if h < 3 or w < 3:
         return out
-    acc = np.zeros((h - 2, w - 2), dtype=np.float64)
-    for dy in range(3):
-        for dx in range(3):
-            # a zero tap would add a signed zero to acc, which is never -0.0
-            # and so keeps every bit; skipping it saves a full-plane pass
-            if kernel[dy][dx] != 0.0:
-                acc += kernel[dy][dx] * plane[dy : dy + h - 2, dx : dx + w - 2]
-    out[1 : h - 1, 1 : w - 1] = acc
+    # a zero tap would add a signed zero to acc, which starts at +0.0 and so
+    # is never -0.0; that keeps every bit, and skipping the tap saves a pass
+    taps = [(dy, dx, t) for dy, row in enumerate(kernel) for dx, t in enumerate(row) if t != 0.0]
+    inner = out[1 : h - 1, 1 : w - 1]
+    term_buf = np.empty((min(_STRIP_ROWS, h - 2), w - 2), dtype=np.float64)
+    for y0 in range(0, h - 2, _STRIP_ROWS):
+        acc = inner[y0 : y0 + _STRIP_ROWS]
+        term = term_buf[: len(acc)]
+        for dy, dx, t in taps:
+            np.multiply(plane[y0 + dy : y0 + dy + len(acc), dx : dx + w - 2], t, out=term)
+            acc += term
     return out
 
 
@@ -284,22 +295,39 @@ def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
     """Mask of the weak pixels whose 8-connected component of weak pixels
     holds a strong one; ``strong`` must be a subset of ``weak``.
 
-    Vectorized union-find over the weak pixels: each round hooks the larger
-    of two adjacent roots to the smaller, then pointer-jumps until every
-    pixel points at its root.  Parent ids only ever fall, so it terminates.
+    Strong pixels are kept outright.  A weak-only pixel is kept iff its
+    8-connected component of weak-only pixels has a pixel with a strong
+    neighbor: a weak path to a strong pixel runs through weak-only pixels up
+    to its first strong one, and the last of those touches it.
+
+    The weak-only components come from a vectorized union-find over flat
+    indices into the plane framed by one False pixel: each round hooks the
+    larger of two adjacent roots to the smaller, then pointer-jumps until
+    every node points at its root.  Parent ids only ever fall, so it
+    terminates.
     """
     import numpy as np
-    h, w = weak.shape
-    n = int(np.count_nonzero(weak))
-    ids = np.full((h, w), -1, dtype=np.int32)
-    ids[weak] = np.arange(n, dtype=np.int32)
+    w = weak.shape[1]
+    edges = np.pad(strong, 1)
+    kept = edges.ravel()  # a view, so marking it marks edges
+    only = np.pad(weak & ~strong, 1).ravel()
+    nodes = np.flatnonzero(only)
+    n = len(nodes)
+    if n == 0:
+        return edges[1:-1, 1:-1]
+    ids = np.full(only.shape, -1, dtype=np.int32)
+    ids[nodes] = np.arange(n, dtype=np.int32)
     firsts, seconds = [], []
+    seeded = np.zeros(n, dtype=bool)  # has a strong neighbor
     for dr, dc in _FORWARD_STEPS:
-        first = (slice(0, h - dr), slice(max(0, -dc), w - max(0, dc)))
-        second = (slice(dr, h), slice(max(0, dc), w - max(0, -dc)))
-        both = weak[first] & weak[second]
-        firsts.append(ids[first][both])
-        seconds.append(ids[second][both])
+        # the frame keeps every neighbor index of a node inside the plane
+        off = dr * (w + 2) + dc
+        ahead = nodes + off
+        both = only[ahead]
+        firsts.append(np.flatnonzero(both).astype(np.int32))
+        seconds.append(ids[ahead[both]])
+        seeded |= kept[ahead]
+        seeded |= kept[nodes - off]
     a, b = np.concatenate(firsts), np.concatenate(seconds)
 
     parent = np.arange(n, dtype=np.int32)
@@ -318,10 +346,9 @@ def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
             parent = jumped
 
     anchored = np.zeros(n, dtype=bool)
-    anchored[parent[ids[strong]]] = True
-    edges = np.zeros((h, w), dtype=bool)
-    edges[weak] = anchored[parent]
-    return edges
+    anchored[parent[seeded]] = True
+    kept[nodes[anchored[parent]]] = True
+    return edges[1:-1, 1:-1]
 
 
 def canny_edges(
@@ -381,7 +408,7 @@ def canny_edges(
     edges = _hysteresis(strong, weak)
     edges[0, :] = edges[-1, :] = False
     edges[:, 0] = edges[:, -1] = False
-    return RasterImage.from_array(np.where(edges, 255, 0).astype(np.uint8))
+    return RasterImage.from_array(edges.view(np.uint8) * 255)  # bools are bytes 0 and 1
 
 
 def bounding_rect(edges: RasterImage) -> Rect:

@@ -9,10 +9,12 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dface.augment import act_on_image
 from dface.cli import main
+from dface.dihedral import elements, parse_element
 from dface.errors import DomainError, ImageFormatError, RasterShapeError
 from dface.raster import (
     _FORWARD_STEPS,
@@ -393,12 +395,115 @@ def _whole_plane_smooth_float(plane: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
+def _whole_plane_convolve3(plane: np.ndarray, kernel) -> np.ndarray:
+    """The whole-plane Sobel pass that strip Sobel replaced, kept verbatim
+    as the reference for its bits."""
+    h, w = plane.shape
+    out = np.zeros((h, w), dtype=np.float64)
+    if h < 3 or w < 3:
+        return out
+    acc = np.zeros((h - 2, w - 2), dtype=np.float64)
+    for dy in range(3):
+        for dx in range(3):
+            # a zero tap would add a signed zero to acc, which is never -0.0
+            # and so keeps every bit; skipping it saves a full-plane pass
+            if kernel[dy][dx] != 0.0:
+                acc += kernel[dy][dx] * plane[dy : dy + h - 2, dx : dx + w - 2]
+    out[1 : h - 1, 1 : w - 1] = acc
+    return out
+
+
+def _every_weak_pixel_hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
+    """The union-find over every weak pixel that the weak-only union-find
+    replaced, kept verbatim as the reference for its masks."""
+    h, w = weak.shape
+    n = int(np.count_nonzero(weak))
+    ids = np.full((h, w), -1, dtype=np.int32)
+    ids[weak] = np.arange(n, dtype=np.int32)
+    firsts, seconds = [], []
+    for dr, dc in _FORWARD_STEPS:
+        first = (slice(0, h - dr), slice(max(0, -dc), w - max(0, dc)))
+        second = (slice(dr, h), slice(max(0, dc), w - max(0, -dc)))
+        both = weak[first] & weak[second]
+        firsts.append(ids[first][both])
+        seconds.append(ids[second][both])
+    a, b = np.concatenate(firsts), np.concatenate(seconds)
+
+    parent = np.arange(n, dtype=np.int32)
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            break
+        # pairs already sharing a root keep sharing it, so drop them
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+    anchored = np.zeros(n, dtype=bool)
+    anchored[parent[ids[strong]]] = True
+    edges = np.zeros((h, w), dtype=bool)
+    edges[weak] = anchored[parent]
+    return edges
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+@pytest.mark.parametrize("weak_p", [0.25, 0.45])
+def test_weak_only_hysteresis_matches_the_every_weak_pixel_union_find(seed, weak_p):
+    # 1024x1024 noise masks at densities below and above the 8-connected
+    # percolation threshold (about 0.41), so components run from single
+    # pixels to one spanning the image
+    rng = np.random.default_rng(seed)
+    weak = rng.random((1024, 1024)) < weak_p
+    strong = weak & (rng.random((1024, 1024)) < 0.05)
+    assert np.array_equal(_hysteresis(strong, weak), _every_weak_pixel_hysteresis(strong, weak))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (2, 2), (16, 23)])
+def test_weak_only_hysteresis_edge_cases_match_the_union_find(shape):
+    rng = np.random.default_rng(sum(shape))
+    ring = np.zeros(shape, dtype=bool)
+    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
+    noise = rng.random(shape) < 0.5
+    corner = np.zeros(shape, dtype=bool)
+    corner[-1, -1] = True
+    cases = [
+        (np.zeros(shape, dtype=bool), ring),  # weak only on the outer border
+        (ring & corner, ring),  # one strong pixel in the border's far corner
+        (np.zeros(shape, dtype=bool), noise),  # strong empty
+        (noise, noise),  # weak == strong
+        (noise & corner, noise | ring),
+    ]
+    for strong, weak in cases:
+        assert np.array_equal(_hysteresis(strong, weak), _every_weak_pixel_hysteresis(strong, weak))
+
+
+@pytest.mark.parametrize("h", [3, 4, _STRIP_ROWS + 1, _STRIP_ROWS + 2, 2 * _STRIP_ROWS + 1])
+@pytest.mark.parametrize("kernel", [_SOBEL_X, _SOBEL_Y])
+def test_strip_sobel_keeps_the_bits(h, kernel):
+    # four fifths signed zeros, so many windows sum six zero products, and
+    # one fifth non-integers, whose sums round by order: every value and
+    # every sign bit must match the whole-plane pass
+    rng = np.random.default_rng(h)
+    plane = np.where(rng.random((h, 37)) < 0.5, 0.0, -0.0)
+    values = rng.random((h, 37)) < 0.2
+    plane[values] = rng.normal(0.0, 100.0, int(values.sum()))
+    got, want = _convolve3(plane, kernel), _whole_plane_convolve3(plane, kernel)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.tobytes() == want.tobytes()
+
+
 def _every_pixel_direction_canny(arr: np.ndarray, low: float, high: float, sigma: float) -> bytes:
     """Canny with the direction bin computed for every pixel before the
-    peak is known, as it was before directions were limited to candidates."""
+    peak is known, as it was before directions were limited to candidates,
+    and with the whole-plane smoothing, Sobel and hysteresis."""
     plane = _whole_plane_smooth_float(arr.astype(np.float64), sigma)
-    gx = _convolve3(plane, _SOBEL_X)
-    gy = _convolve3(plane, _SOBEL_Y)
+    gx = _whole_plane_convolve3(plane, _SOBEL_X)
+    gy = _whole_plane_convolve3(plane, _SOBEL_Y)
     mag = np.hypot(gx, gy)
     h, w = mag.shape
 
@@ -417,7 +522,7 @@ def _every_pixel_direction_canny(arr: np.ndarray, low: float, high: float, sigma
         return bytes(h * w)
     strong = keep & (mag >= high * peak)
     weak = keep & (mag >= low * peak)
-    edges = _hysteresis(strong, weak)
+    edges = _every_weak_pixel_hysteresis(strong, weak)
     edges[0, :] = edges[-1, :] = False
     edges[:, 0] = edges[:, -1] = False
     return np.where(edges, 255, 0).astype(np.uint8).tobytes()
@@ -511,6 +616,85 @@ def test_canny_noise_golden():
     )
 
 
+D4 = elements(4)
+
+
+def _near_tie(arr: np.ndarray, low: float, high: float, sigma: float) -> bool:
+    """Whether Canny's gradient magnitudes come within a billionth of the
+    peak of a tie: a pixel at or above ``low`` times the peak against a
+    neighbor along its gradient, or a pixel against a threshold (the peak
+    pixel against ``high`` = 1 aside).  Such a tie is often exact in real
+    arithmetic, and then the rounding of sums taken in scan order, which D4
+    does not keep, decides it."""
+    plane = _smooth_float(arr.astype(np.float64), sigma)
+    gx, gy = _convolve3(plane, _SOBEL_X), _convolve3(plane, _SOBEL_Y)
+    mag = np.hypot(gx, gy)
+    h, w = mag.shape
+    peak = mag.max()
+    tol = 1e-9 * peak
+    for t in (low, high):
+        # at t == 1 the peak pixel itself sits on the threshold, and stays
+        if np.count_nonzero(np.abs(mag - t * peak) <= tol) > (t == 1.0):
+            return True
+    bins = np.mod(np.round(np.mod(np.arctan2(gy, gx), np.pi) / (np.pi / 4.0)).astype(np.int64), 4)
+    center, sector = mag[1 : h - 1, 1 : w - 1], bins[1 : h - 1, 1 : w - 1]
+    candidate = center >= low * peak - tol
+    for b, (dr, dc) in enumerate(_FORWARD_STEPS):
+        for s in (-1, 1):
+            neighbor = mag[1 + s * dr : h - 1 + s * dr, 1 + s * dc : w - 1 + s * dc]
+            if (candidate & (sector == b) & (np.abs(center - neighbor) <= tol)).any():
+                return True
+    return False
+
+
+@settings(max_examples=40)
+@given(
+    h=st.integers(3, 40),
+    w=st.integers(3, 40),
+    levels=st.integers(2, 4),
+    thresholds=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+    sigma=st.sampled_from([0.5, 0.8, 1.0, 1.4, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=40, w=37, levels=2, thresholds=(0.1, 0.3), sigma=1.4, seed=5)
+@example(h=3, w=40, levels=3, thresholds=(0.05, 0.5), sigma=0.5, seed=6)
+def test_smoothing_canny_and_crop_commute_with_d4(h, w, levels, thresholds, sigma, seed):
+    # tie-heavy images: a few gray levels, so smoothing sums the same
+    # products at many pixels
+    low, high = sorted(thresholds)
+    assume(low < high)
+    rng = np.random.default_rng(seed)
+    arr = (rng.integers(0, levels, (h, w)) * (255 // (levels - 1))).astype(np.uint8)
+    img = gray(arr)
+    smoothed = gaussian_smooth(img, sigma)
+    for g in D4:
+        assert gaussian_smooth(act_on_image(g, img), sigma) == act_on_image(g, smoothed)
+    assume(not _near_tie(arr, low, high, sigma))
+    edges = canny_edges(img, low, high, sigma)
+    cropped = crop(img, bounding_rect(edges)) if any(edges.samples) else None
+    for g in D4:
+        moved = act_on_image(g, img)
+        moved_edges = canny_edges(moved, low, high, sigma)
+        assert moved_edges == act_on_image(g, edges)
+        if cropped is not None:
+            assert crop(moved, bounding_rect(moved_edges)) == act_on_image(g, cropped)
+
+
+def test_canny_lets_rounding_decide_a_tie_that_d4_would_keep():
+    # two bright rows, top and bottom: the image equals its half turn, so in
+    # real arithmetic the two middle rows tie along the vertical gradient.
+    # The sums run top to bottom, so the first of them comes out one ulp
+    # larger and alone survives; the half-turned edge map is a row off.
+    arr = np.zeros((4, 3), dtype=np.uint8)
+    arr[0, :] = arr[3, :] = 255
+    r2 = parse_element(4, "r2")
+    assert act_on_image(r2, gray(arr)) == gray(arr)
+    assert _near_tie(arr, 0.3, 0.55, 1.0)
+    edges = canny_edges(gray(arr), 0.3, 0.55, 1.0)
+    assert np.array_equal(np.argwhere(edges.array()), [[1, 1]])
+    assert np.array_equal(np.argwhere(act_on_image(r2, edges).array()), [[2, 1]])
+
+
 def test_bounding_rect_simple():
     arr = np.zeros((8, 9), dtype=np.uint8)
     arr[2, 3] = 255
@@ -588,6 +772,22 @@ def test_pad_to_square_tall_odd_split():
     arr = out.array()
     assert np.all(arr[:, 0] == 1) and np.all(arr[:, 3:] == 1)
     assert np.all(arr[:, 1:3] == 0)
+
+
+def test_pad_to_square_gives_an_odd_row_to_the_bottom_and_shifts_a_mirror():
+    # top = pad // 2, as left is (test_pad_to_square_tall_odd_split), so an
+    # odd padding puts its extra row at the bottom whatever the content, and
+    # a mirrored image pads one column off the mirror of the padded image
+    wide = gray(np.arange(1, 11).reshape(2, 5))
+    padded, offset = pad_to_square(wide)
+    assert offset == (0, 1)
+    assert np.array_equal(np.nonzero(padded.array().any(axis=1))[0], [1, 2])
+    tall = gray(np.arange(1, 11).reshape(5, 2))
+    s = parse_element(4, "s")
+    mirrored, _ = pad_to_square(act_on_image(s, tall))
+    mirror_of_padded = act_on_image(s, pad_to_square(tall)[0]).array()
+    assert not np.array_equal(mirrored.array(), mirror_of_padded)
+    assert np.array_equal(mirrored.array(), np.roll(mirror_of_padded, -1, axis=1))
 
 
 def test_pad_to_square_noop():

@@ -214,3 +214,20 @@ def test_post_init_checks_still_run():
         MidlineAxis((0.0, 0.0), (1.0, 1.0), 0.0)
     with pytest.raises(SchemaError, match="at least one frame"):
         FrameSequence(())
+
+
+@pytest.mark.parametrize("tie_order", [
+    tuple(e.value for e in Emotion),  # equal to the members, but plain strings
+    list(Emotion),  # the right members in a list, which cannot be hashed
+    (*tuple(Emotion)[:5], None),
+])
+def test_config_tie_order_must_be_a_tuple_of_emotions(tie_order):
+    with pytest.raises(ConfigError, match="tie_order must be a tuple of Emotion members"):
+        Config(tie_order=tie_order)
+
+
+def test_sequence_frames_must_be_face_frames(base_frame):
+    with pytest.raises(SchemaError, match="must be a FaceFrame"):
+        FrameSequence(("x", "y"))
+    with pytest.raises(SchemaError, match="must be a FaceFrame"):
+        FrameSequence((base_frame, base_frame.xy))
