@@ -6,113 +6,30 @@ geometric activation detection, a bit-exact raster pipeline, and orbit
 augmentation, all wired into one CLI.
 """
 
-from .aus import (
-    ActionUnit,
-    AUActivation,
-    ClassificationResult,
-    Emotion,
-    classify_emotion,
-    detect_active_aus,
-    rule_tables,
-)
-from .augment import act_on_image, act_on_keypoints, kernel_bank, orbit, transform_kernel
-from .dihedral import (
-    GroupElement,
-    cayley_table,
-    compose,
-    element_name,
-    elements,
-    inverse,
-    matrix_of,
-    parse_element,
-    power,
-    verify_group_axioms,
-)
-from .face import (
-    FaceFrame,
-    FrameSequence,
-    KeyPoint,
-    build_frame,
-    counterpart,
-    interocular_distance,
-    load_frame,
-    load_sequence,
-    parse_frame,
-    serialize_frame,
-)
-from .raster import (
-    RasterImage,
-    Rect,
-    bounding_rect,
-    canny_edges,
-    crop,
-    gaussian_smooth,
-    pad_to_square,
-    read_image,
-    to_grayscale,
-    write_image,
-)
-from .symmetry import (
-    AsymmetryReport,
-    MidlineAxis,
-    estimate_midline,
-    movement_asymmetry,
-    reconstruct_occluded,
-    reflect_about,
-    structural_asymmetry,
-)
+from importlib import import_module
+
+# Public names by defining module, in import order; __all__ is built from
+# the same table, so each name is written once.
+_EXPORTS = {
+    "aus": ("ActionUnit", "AUActivation", "ClassificationResult", "Emotion", "classify_emotion",
+            "detect_active_aus", "rule_tables"),
+    "augment": ("act_on_image", "act_on_keypoints", "kernel_bank", "orbit", "transform_kernel"),
+    "dihedral": ("GroupElement", "cayley_table", "compose", "element_name", "elements", "inverse",
+                 "matrix_of", "parse_element", "power", "verify_group_axioms"),
+    "face": ("FaceFrame", "FrameSequence", "KeyPoint", "build_frame", "counterpart",
+             "interocular_distance", "load_frame", "load_sequence", "parse_frame",
+             "serialize_frame"),
+    "raster": ("RasterImage", "Rect", "bounding_rect", "canny_edges", "crop", "gaussian_smooth",
+               "pad_to_square", "read_image", "to_grayscale", "write_image"),
+    "symmetry": ("AsymmetryReport", "MidlineAxis", "estimate_midline", "movement_asymmetry",
+                 "reconstruct_occluded", "reflect_about", "structural_asymmetry"),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionUnit",
-    "AUActivation",
-    "AsymmetryReport",
-    "ClassificationResult",
-    "Emotion",
-    "FaceFrame",
-    "FrameSequence",
-    "GroupElement",
-    "KeyPoint",
-    "MidlineAxis",
-    "RasterImage",
-    "Rect",
-    "act_on_image",
-    "act_on_keypoints",
-    "bounding_rect",
-    "build_frame",
-    "canny_edges",
-    "cayley_table",
-    "classify_emotion",
-    "compose",
-    "counterpart",
-    "crop",
-    "detect_active_aus",
-    "element_name",
-    "elements",
-    "estimate_midline",
-    "gaussian_smooth",
-    "interocular_distance",
-    "inverse",
-    "kernel_bank",
-    "load_frame",
-    "load_sequence",
-    "matrix_of",
-    "movement_asymmetry",
-    "orbit",
-    "pad_to_square",
-    "parse_element",
-    "parse_frame",
-    "power",
-    "read_image",
-    "reconstruct_occluded",
-    "reflect_about",
-    "rule_tables",
-    "serialize_frame",
-    "structural_asymmetry",
-    "to_grayscale",
-    "transform_kernel",
-    "verify_group_axioms",
-    "write_image",
-    "__version__",
-]
+__all__ = ["__version__"]
+for _module, _names in _EXPORTS.items():
+    _source = import_module(f".{_module}", __name__)
+    globals().update((_name, getattr(_source, _name)) for _name in _names)
+    __all__ += _names
+del _module, _names, _source, import_module

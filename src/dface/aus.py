@@ -115,15 +115,6 @@ _FULL_RULES = {
     Emotion.DISGUST: frozenset({9, 15, 16}),
 }
 
-_REFINED_RULES = {
-    Emotion.HAPPINESS: frozenset({12}),
-    Emotion.SADNESS: frozenset({1, 4, 15}),
-    Emotion.SURPRISE: frozenset({1, 2}),
-    Emotion.FEAR: frozenset({1, 2, 4, 20}),
-    Emotion.ANGER: frozenset({4, 23}),
-    Emotion.DISGUST: frozenset({15, 16}),
-}
-
 
 @record
 class ActionUnitRuleSet:
@@ -159,8 +150,8 @@ class ActionUnitRuleSet:
 
 @lru_cache(maxsize=1)
 def rule_tables() -> ActionUnitRuleSet:
-    """The complete transcription; refined rules are checked against
-    full ∩ active at build time so a table typo cannot ship silently."""
+    """The complete transcription; each refined rule is its full rule
+    restricted to the active AUs."""
     units = tuple(
         ActionUnit(
             n,
@@ -170,12 +161,9 @@ def rule_tables() -> ActionUnitRuleSet:
         for n in sorted(_DESCRIPTORS)
     )
     rules = tuple(
-        EmotionRule(emotion, _FULL_RULES[emotion], _REFINED_RULES[emotion])
-        for emotion in Emotion
+        EmotionRule(emotion, full, full & _ACTIVE_NUMBERS)
+        for emotion, full in _FULL_RULES.items()
     )
-    for rule in rules:
-        if rule.refined_aus != rule.full_aus & _ACTIVE_NUMBERS:
-            raise DomainError(f"refined rule for {rule.emotion.value} is inconsistent")
     return ActionUnitRuleSet(units, rules)
 
 

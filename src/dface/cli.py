@@ -28,7 +28,7 @@ from .dihedral import (
     parse_element,
     verify_group_axioms,
 )
-from .errors import ConfigError, DfaceError, DomainError, InsufficientPairsError, SchemaError
+from .errors import DfaceError, DomainError, InsufficientPairsError, SchemaError, UsageError
 from .face import FrameSequence, load_frame, load_sequence, serialize_frame
 from .formatting import fmt, ordered_mean
 from .overlay import render_overlay
@@ -62,17 +62,13 @@ __all__ = ["main"]
 MAX_ORDER = 256
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _positive_order(raw: str) -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise _UsageError(f"group order must be an integer, got {raw!r}") from None
+        raise UsageError(f"group order must be an integer, got {raw!r}") from None
     if not 1 <= n <= MAX_ORDER:
-        raise _UsageError(f"group order must be in 1..{MAX_ORDER}, got {n}")
+        raise UsageError(f"group order must be in 1..{MAX_ORDER}, got {n}")
     return n
 
 
@@ -80,7 +76,7 @@ def _element(raw: str):
     try:
         return parse_element(4, raw)
     except DomainError as exc:
-        raise _UsageError(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
 def _write_or_stdout(data: bytes, output: str | None) -> None:
@@ -209,13 +205,13 @@ def _finite_numbers(raw: str, count: int, name: str, form: str) -> tuple[float, 
     """The ``count`` comma-separated finite numbers of option ``--<name>``."""
     parts = raw.split(",")
     if len(parts) != count:
-        raise _UsageError(f"--{name} takes {form}")
+        raise UsageError(f"--{name} takes {form}")
     try:
         values = tuple(float(t) for t in parts)
     except ValueError:
-        raise _UsageError(f"bad {name} {raw!r}") from None
+        raise UsageError(f"bad {name} {raw!r}") from None
     if not all(math.isfinite(v) for v in values):
-        raise _UsageError(f"bad {name} {raw!r}")
+        raise UsageError(f"bad {name} {raw!r}")
     return values
 
 
@@ -224,7 +220,7 @@ def _parse_axis(raw: str) -> MidlineAxis | None:
         return None
     x, y, dx, dy = _finite_numbers(raw, 4, "axis", "'auto' or 'x,y,dx,dy'")
     if dx == 0.0 and dy == 0.0:
-        raise _UsageError("axis direction must be nonzero")
+        raise UsageError("axis direction must be nonzero")
     squared = dx * dx + dy * dy
     if not sys.float_info.min <= squared < math.inf:
         # The squares overflowed or lost bits below the normal range: scale
@@ -433,15 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         return args.handler(args, config)
-    except _UsageError as exc:
-        print(f"error[usage]: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 3
     except DfaceError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_status

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 from .aus import Emotion
 from .errors import ConfigError, DomainError
-from .raster import _check_sigma
+from .raster import check_sigma
 from .record import record
 
 if TYPE_CHECKING:
@@ -48,7 +48,7 @@ class Config:
                 f"au threshold must be positive and finite, got {self.au_threshold}"
             )
         try:
-            _check_sigma(self.canny_sigma)
+            check_sigma(self.canny_sigma)
         except DomainError as exc:
             raise ConfigError(f"canny {exc}") from None
         if self.canny_sigma > MAX_SIGMA:

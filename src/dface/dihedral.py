@@ -63,15 +63,8 @@ class GroupElement:
         object.__setattr__(self, "rotation_k", self.rotation_k % self.order_n)
 
     @property
-    def is_identity(self) -> bool:
-        return self.reflection_j == 0 and self.rotation_k == 0
-
-    @property
     def name(self) -> str:
         return element_name(self)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return compose(self, other)
 
     def __repr__(self) -> str:
         return f"GroupElement(D{self.order_n}, {self.name})"
@@ -107,6 +100,10 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     Matrix order matters: ``matrix_of(compose(a, b))`` equals
     ``matrix_of(a) @ matrix_of(b)``.
     """
+    if not (isinstance(a, GroupElement) and isinstance(b, GroupElement)):
+        raise TypeError(
+            f"compose takes two GroupElements, got {type(a).__name__} and {type(b).__name__}"
+        )
     if a.order_n != b.order_n:
         raise DomainError(
             f"cannot compose elements of different orders: D{a.order_n} and D{b.order_n}"

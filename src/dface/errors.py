@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-Every error carries a stable ``code`` string; the CLI prints it as the
-error-code prefix and maps any :class:`DfaceError` to exit status 3.
+Every error carries a stable ``code`` string, which the CLI prints as the
+error-code prefix, and an ``exit_status``, which the CLI returns: 3 for a
+data problem, 2 for :class:`UsageError` and :class:`ConfigError`.
 """
 
 
@@ -9,6 +10,7 @@ class DfaceError(Exception):
     """Base class for all errors raised by this package."""
 
     code = "error"
+    exit_status = 3
 
 
 class DomainError(DfaceError):
@@ -86,5 +88,13 @@ class RasterShapeError(DfaceError):
     code = "shape"
 
 
+class UsageError(DfaceError):
+    """A command line argument is malformed or out of range."""
+
+    code = "usage"
+    exit_status = 2
+
+
 class ConfigError(DfaceError):
     code = "config"
+    exit_status = 2

@@ -30,6 +30,7 @@ __all__ = [
     "bounding_rect",
     "crop",
     "pad_to_square",
+    "check_sigma",
 ]
 
 
@@ -44,6 +45,8 @@ class RasterImage:
     samples: bytes
 
     def __post_init__(self):
+        if not isinstance(self.samples, bytes):
+            raise RasterShapeError(f"samples must be bytes, got {type(self.samples).__name__}")
         if self.width < 1 or self.height < 1:
             raise RasterShapeError(f"bad dimensions {self.width}x{self.height}")
         if self.channels not in (1, 3):
@@ -189,7 +192,7 @@ def to_grayscale(img: RasterImage) -> RasterImage:
     return RasterImage.from_array(np.floor(luma + 0.5).astype(np.uint8))
 
 
-def _check_sigma(sigma: float) -> None:
+def check_sigma(sigma: float) -> None:
     """Raise DomainError unless the Gaussian taps for ``sigma`` are finite:
     sigma must be positive and finite, with ``2 sigma**2`` a normal float."""
     if not (sigma > 0 and isfinite(sigma) and 2.0 * sigma * sigma >= float_info.min):
@@ -207,40 +210,42 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-# Rows per strip in _smooth_float and _convolve3: a strip of a 1024-wide
-# plane and its product buffer stay in cache across all the taps, a whole
-# plane does not.
+# Rows per strip in _correlate: a strip of a 1024-wide plane and its product
+# buffer stay in cache across all the taps, a whole plane does not.
 _STRIP_ROWS = 48
+
+
+def _correlate(src: np.ndarray, taps: list[tuple[int, int, float]], out: np.ndarray) -> None:
+    """Add ``t * src[y + dy, x + dx]`` into ``out[y, x]`` for each tap
+    ``(dy, dx, t)``, in tap order.
+
+    It runs one strip of rows at a time through all the taps.  Every value
+    still sums the same products in the same order as a whole-plane pass,
+    so the bits do not depend on the strip height.
+    """
+    import numpy as np
+    h, w = out.shape
+    term_buf = np.empty((min(_STRIP_ROWS, h), w), dtype=np.float64)
+    for y0 in range(0, h, _STRIP_ROWS):
+        acc = out[y0 : y0 + _STRIP_ROWS]
+        term = term_buf[: len(acc)]
+        for dy, dx, t in taps:
+            np.multiply(src[y0 + dy : y0 + dy + len(acc), dx : dx + w], t, out=term)
+            acc += term
 
 
 def _smooth_float(plane: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian on a float plane, symmetric-reflect border,
-    fixed left-to-right tap order.
-
-    Each pass runs one strip of rows at a time through all the taps.  Every
-    value still sums the same products in the same order as a whole-plane
-    pass, so the bits do not depend on the strip height.
-    """
+    fixed left-to-right tap order."""
     import numpy as np
     taps = _gaussian_taps(sigma)
     radius = len(taps) // 2
     h, w = plane.shape
     padded = np.pad(plane, radius, mode="symmetric")
     rows = np.zeros((h + 2 * radius, w), dtype=np.float64)
+    _correlate(padded, [(0, i, t) for i, t in enumerate(taps)], rows)
     out = np.zeros((h, w), dtype=np.float64)
-    term_buf = np.empty((min(_STRIP_ROWS, h + 2 * radius), w), dtype=np.float64)
-    for y0 in range(0, h + 2 * radius, _STRIP_ROWS):
-        acc = rows[y0 : y0 + _STRIP_ROWS]
-        term = term_buf[: len(acc)]
-        for i, t in enumerate(taps):
-            np.multiply(padded[y0 : y0 + len(acc), i : i + w], t, out=term)
-            acc += term
-    for y0 in range(0, h, _STRIP_ROWS):
-        acc = out[y0 : y0 + _STRIP_ROWS]
-        term = term_buf[: len(acc)]
-        for i, t in enumerate(taps):
-            np.multiply(rows[y0 + i : y0 + i + len(acc)], t, out=term)
-            acc += term
+    _correlate(rows, [(i, 0, t) for i, t in enumerate(taps)], out)
     return out
 
 
@@ -248,7 +253,7 @@ def gaussian_smooth(img: RasterImage, sigma: float) -> RasterImage:
     import numpy as np
     if img.channels != 1:
         raise RasterShapeError("smoothing expects a single-channel image")
-    _check_sigma(sigma)
+    check_sigma(sigma)
     smooth = _smooth_float(img.array().astype(np.float64), sigma)
     smooth += 0.5
     np.floor(smooth, out=smooth)
@@ -267,27 +272,16 @@ _FORWARD_STEPS = ((0, 1), (1, 1), (1, 0), (1, -1))
 
 
 def _convolve3(plane: np.ndarray, kernel: tuple[tuple[float, ...], ...]) -> np.ndarray:
-    """Valid 3x3 correlation embedded back at full size, zero border.
-
-    Like the smoothing passes it runs one strip of rows at a time through
-    the taps, each value summing the same products in the same order.
-    """
+    """Valid 3x3 correlation embedded back at full size, zero border."""
     import numpy as np
     h, w = plane.shape
     out = np.zeros((h, w), dtype=np.float64)
     if h < 3 or w < 3:
         return out
-    # a zero tap would add a signed zero to acc, which starts at +0.0 and so
+    # a zero tap would add a signed zero to out, which starts at +0.0 and so
     # is never -0.0; that keeps every bit, and skipping the tap saves a pass
     taps = [(dy, dx, t) for dy, row in enumerate(kernel) for dx, t in enumerate(row) if t != 0.0]
-    inner = out[1 : h - 1, 1 : w - 1]
-    term_buf = np.empty((min(_STRIP_ROWS, h - 2), w - 2), dtype=np.float64)
-    for y0 in range(0, h - 2, _STRIP_ROWS):
-        acc = inner[y0 : y0 + _STRIP_ROWS]
-        term = term_buf[: len(acc)]
-        for dy, dx, t in taps:
-            np.multiply(plane[y0 + dy : y0 + dy + len(acc), dx : dx + w - 2], t, out=term)
-            acc += term
+    _correlate(plane, taps, out[1 : h - 1, 1 : w - 1])
     return out
 
 
@@ -370,7 +364,7 @@ def canny_edges(
         raise RasterShapeError("edge detection expects a single-channel image")
     if not (0.0 < low < high <= 1.0):
         raise DomainError(f"thresholds must satisfy 0 < low < high <= 1, got {low}, {high}")
-    _check_sigma(sigma)
+    check_sigma(sigma)
     plane = _smooth_float(img.array().astype(np.float64), sigma)
     gx = _convolve3(plane, _SOBEL_X)
     gy = _convolve3(plane, _SOBEL_Y)

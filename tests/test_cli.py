@@ -71,6 +71,15 @@ def test_group_order_is_bounded(capsys, command):
         assert err == f"error[usage]: group order must be in 1..{MAX_ORDER}, got {n}\n"
 
 
+def test_exit_status_is_set_on_the_error_class():
+    errors = [c for c in vars(dface.errors).values()
+              if isinstance(c, type) and issubclass(c, dface.errors.DfaceError)]
+    assert len(errors) > 10
+    two = {c.__name__ for c in errors if c.exit_status == 2}
+    assert two == {"ConfigError", "UsageError"}
+    assert all(c.exit_status in (2, 3) for c in errors)
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -1,6 +1,6 @@
 """The package imports nothing beyond the standard library and numpy, and
 loads numpy, hashlib, configparser and dataclasses only inside the functions
-that use them."""
+that use them; no module imports another's private names."""
 
 import ast
 import sys
@@ -64,3 +64,20 @@ def test_numpy_and_hashlib_are_not_imported_at_module_load():
         if name.split(".")[0] in LAZY
     ]
     assert eager == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    assert SOURCES
+    private = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and node.module.split(".")[0] != "dface":
+                continue
+            private += [
+                f"{path.name}: {node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert private == []

@@ -64,6 +64,16 @@ def test_compose_order_mismatch():
         compose(identity(3), identity(4))
 
 
+@pytest.mark.parametrize("a, b", [
+    (GroupElement(4, 0, 1), "r"),
+    ("r", GroupElement(4, 0, 1)),
+    (GroupElement(4, 1, 0), (4, 1, 0)),
+])
+def test_compose_takes_only_group_elements(a, b):
+    with pytest.raises(TypeError, match="compose takes two GroupElements"):
+        compose(a, b)
+
+
 def test_inverse_cases():
     assert inverse(identity(4)) == identity(4)
     assert inverse(GroupElement(4, 1, 3)) == GroupElement(4, 1, 3)

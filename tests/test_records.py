@@ -226,6 +226,14 @@ def test_config_tie_order_must_be_a_tuple_of_emotions(tie_order):
         Config(tie_order=tie_order)
 
 
+@pytest.mark.parametrize("samples", ["abcd", bytearray(4), memoryview(bytes(4)), [0, 0, 0, 0]],
+                         ids=["str", "bytearray", "memoryview", "list"])
+def test_raster_samples_must_be_bytes(samples):
+    # each has the right length, so only the type check can refuse it
+    with pytest.raises(RasterShapeError, match="samples must be bytes"):
+        RasterImage(2, 2, 1, samples)
+
+
 def test_sequence_frames_must_be_face_frames(base_frame):
     with pytest.raises(SchemaError, match="must be a FaceFrame"):
         FrameSequence(("x", "y"))
