@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .dihedral import GroupElement, element_name, elements, matrix_of
-from .errors import DfaceError, RasterShapeError, UnsupportedOrderError
+from .errors import DfaceError, RasterShapeError
 from .face import POINT_COUNT, FaceFrame, counterpart, load_frame, save_frame
 from .raster import RasterImage, read_image, write_image
 from .record import record
@@ -38,17 +38,11 @@ __all__ = [
 ]
 
 
-def _require_d4(g: GroupElement) -> None:
-    if g.order_n != 4:
-        raise UnsupportedOrderError(
-            f"image actions are defined for the square group only, got D{g.order_n}"
-        )
-
-
 def _permute(g: GroupElement, arr: np.ndarray) -> np.ndarray:
     """Rotate counterclockwise k quarter turns, then flip horizontally if g
-    reflects."""
+    reflects.  ``matrix_of`` refuses an element outside D4."""
     import numpy as np
+    matrix_of(g)
     out = np.rot90(arr, g.rotation_k)
     if g.reflection_j:
         out = np.fliplr(out)
@@ -58,7 +52,6 @@ def _permute(g: GroupElement, arr: np.ndarray) -> np.ndarray:
 def act_on_image(g: GroupElement, img: RasterImage) -> RasterImage:
     """Permute pixels by g (see ``_permute``).  Quarter-turn elements
     transpose the output dimensions."""
-    _require_d4(g)
     return RasterImage.from_array(_permute(g, img.array()))
 
 
@@ -74,7 +67,6 @@ def act_on_keypoints(
     canonical and the subject's left data lands in the slot now on the
     subject's left.
     """
-    _require_d4(g)
     matrix = matrix_of(g)
     cx, cy = center
     ids = list(range(POINT_COUNT))
@@ -92,7 +84,6 @@ def transform_kernel(g: GroupElement, kernel: np.ndarray) -> np.ndarray:
     """Same index permutation as the image action, applied to a square
     odd-sized convolution kernel; entry sum is preserved exactly."""
     import numpy as np
-    _require_d4(g)
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise RasterShapeError(f"kernel must be square, got shape {k.shape}")

@@ -45,6 +45,8 @@ __all__ = [
     "AUActivation",
     "ClassificationResult",
     "DEFAULT_THRESHOLD",
+    "check_threshold",
+    "check_tie_order",
     "rule_tables",
     "detect_active_aus",
     "classify_emotion",
@@ -178,6 +180,12 @@ class AUActivation:
 DEFAULT_THRESHOLD = 0.05
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise DomainError unless the AU threshold is positive and finite."""
+    if not (isinstance(threshold, (int, float)) and 0 < threshold < math.inf):
+        raise DomainError(f"au threshold must be positive and finite, got {threshold}")
+
+
 def detect_active_aus(
     neutral: FaceFrame, expr: FaceFrame, threshold: float = DEFAULT_THRESHOLD
 ) -> list[AUActivation]:
@@ -190,8 +198,7 @@ def detect_active_aus(
     of ``threshold`` gates vertical displacements; the paired width/height
     gate for the lip tightener uses half of it for the height term.
     """
-    if threshold <= 0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
+    check_threshold(threshold)
     neutral, expr = (f if f.complete else reconstruct_occluded(f) for f in (neutral, expr))
     iod = interocular_distance(neutral)
     tables = rule_tables()
@@ -266,18 +273,25 @@ class ClassificationResult:
         return not self.ranking
 
 
+def check_tie_order(order: tuple[Emotion, ...]) -> None:
+    """Raise DomainError unless ``order`` is a tuple listing each Emotion once."""
+    if not (isinstance(order, tuple) and all(isinstance(e, Emotion) for e in order)):
+        raise DomainError(f"tie_order must be a tuple of Emotion members, got {order!r}")
+    if len(order) != len(Emotion) or set(order) != set(Emotion):
+        raise DomainError("tie_order must list each emotion exactly once")
+
+
 def classify_emotion(
     activations: list[AUActivation],
     tie_order: tuple[Emotion, ...] | None = None,
 ) -> ClassificationResult:
     """Rank emotions by Jaccard overlap between the detected AU set and
-    each refined rule; ties break by the canonical emotion order."""
+    each refined rule; ties break by ``tie_order``, by default Emotion's."""
+    order = tie_order if tie_order is not None else tuple(Emotion)
+    check_tie_order(order)
     detected = {a.au.number for a in activations if a.active}
     if not detected:
         return ClassificationResult("Neutral", ())
-    order = tie_order if tie_order is not None else tuple(Emotion)
-    if sorted(order, key=lambda e: e.value) != sorted(Emotion, key=lambda e: e.value):
-        raise DomainError("tie order must list each emotion exactly once")
     tables = rule_tables()
     scored = []
     for rank_hint, emotion in enumerate(order):

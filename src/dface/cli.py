@@ -21,7 +21,7 @@ from .aus import (
     classify_emotion,
     detect_active_aus,
 )
-from .config import Config, load_config
+from .config import REPORT_FORMATS, Config, load_config
 from .dihedral import (
     axiom_report_csv,
     cayley_csv,
@@ -30,7 +30,7 @@ from .dihedral import (
 )
 from .errors import DfaceError, DomainError, InsufficientPairsError, SchemaError, UsageError
 from .face import FrameSequence, load_frame, load_sequence, serialize_frame
-from .formatting import fmt, ordered_mean
+from .formatting import fmt, ordered_mean, read_text
 from .overlay import render_overlay
 from .raster import (
     bounding_rect,
@@ -138,11 +138,7 @@ def _parse_kernel(text: str) -> np.ndarray:
 
 
 def _cmd_kernels(args, config: Config) -> int:
-    try:
-        text = Path(args.kernel_file).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"kernel file is not UTF-8 text: {exc.reason}") from None
-    kernel = _parse_kernel(text)
+    kernel = _parse_kernel(read_text(args.kernel_file, SchemaError, "kernel file is "))
     bank = kernel_bank(kernel)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -413,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="per-frame asymmetry and emotion report")
     p.add_argument("seqdir")
     p.add_argument("outdir")
-    p.add_argument("--report-format", default=None, choices=("csv", "svg", "both"))
+    p.add_argument("--report-format", default=None, choices=REPORT_FORMATS)
     p.add_argument("--neutral", default=None, help="neutral frame CSV (default: first frame)")
     p.set_defaults(handler=_cmd_report)
 

@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-import math
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .aus import Emotion
+from .aus import Emotion, check_threshold, check_tie_order
 from .errors import ConfigError, DomainError
-from .raster import check_sigma
+from .formatting import read_text
+from .raster import check_sigma, check_thresholds
 from .record import record
 
 if TYPE_CHECKING:
     import configparser
 
-__all__ = ["Config", "load_config", "ENV_VAR", "MAX_SIGMA"]
+__all__ = ["Config", "load_config", "ENV_VAR", "MAX_SIGMA", "REPORT_FORMATS"]
 
 ENV_VAR = "DFACE_CONFIG"
 
@@ -30,7 +30,7 @@ _KNOWN = {
     "report": {"format"},
 }
 
-_FORMATS = ("csv", "svg", "both")
+REPORT_FORMATS = ("csv", "svg", "both")
 
 
 @record
@@ -43,29 +43,22 @@ class Config:
     report_format: str = "both"
 
     def __post_init__(self):
-        if not (math.isfinite(self.au_threshold) and self.au_threshold > 0):
-            raise ConfigError(
-                f"au threshold must be positive and finite, got {self.au_threshold}"
-            )
+        # Each field passes the check of the library code that reads it.
+        try:
+            check_threshold(self.au_threshold)
+            check_tie_order(self.tie_order)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         try:
             check_sigma(self.canny_sigma)
+            check_thresholds(self.canny_low, self.canny_high)
         except DomainError as exc:
             raise ConfigError(f"canny {exc}") from None
         if self.canny_sigma > MAX_SIGMA:
             raise ConfigError(f"canny sigma must be at most {MAX_SIGMA:g}, got {self.canny_sigma}")
-        if not (0 < self.canny_low < self.canny_high <= 1):
+        if self.report_format not in REPORT_FORMATS:
             raise ConfigError(
-                f"canny thresholds must satisfy 0 < low < high <= 1, "
-                f"got {self.canny_low}, {self.canny_high}"
-            )
-        if not (isinstance(self.tie_order, tuple)
-                and all(isinstance(e, Emotion) for e in self.tie_order)):
-            raise ConfigError(f"tie_order must be a tuple of Emotion members, got {self.tie_order!r}")
-        if sorted(e.value for e in self.tie_order) != sorted(e.value for e in Emotion):
-            raise ConfigError("tie_order must list each emotion exactly once")
-        if self.report_format not in _FORMATS:
-            raise ConfigError(
-                f"report format must be one of {', '.join(_FORMATS)}, got {self.report_format!r}"
+                f"report format must be one of {', '.join(REPORT_FORMATS)}, got {self.report_format!r}"
             )
 
 
@@ -92,11 +85,9 @@ def load_config(path: str | Path | None = None) -> Config:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path, ConfigError, "config file is ")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file is not UTF-8 text: {exc.reason}") from None
     import configparser  # only when a file is given: it adds to every start-up
 
     cp = configparser.ConfigParser()

@@ -56,10 +56,12 @@ class GroupElement:
     rotation_k: int
 
     def __post_init__(self):
-        if self.order_n < 1:
-            raise DomainError(f"dihedral order must be >= 1, got {self.order_n}")
-        if self.reflection_j not in (0, 1):
-            raise DomainError(f"reflection exponent must be 0 or 1, got {self.reflection_j}")
+        if not (isinstance(self.order_n, int) and self.order_n >= 1):
+            raise DomainError(f"dihedral order must be an int >= 1, got {self.order_n!r}")
+        if not (isinstance(self.reflection_j, int) and self.reflection_j in (0, 1)):
+            raise DomainError(f"reflection exponent must be 0 or 1, got {self.reflection_j!r}")
+        if not isinstance(self.rotation_k, int):
+            raise DomainError(f"rotation exponent must be an int, got {self.rotation_k!r}")
         object.__setattr__(self, "rotation_k", self.rotation_k % self.order_n)
 
     @property
@@ -130,10 +132,8 @@ def power(g: GroupElement, m: int) -> GroupElement:
 
 def elements(n: int) -> list[GroupElement]:
     """All 2n elements, in canonical order: rotations by increasing k, then
-    reflections by increasing k."""
-    if n < 1:
-        raise DomainError(f"dihedral order must be >= 1, got {n}")
-    return [GroupElement(n, j, k) for j in (0, 1) for k in range(n)]
+    reflections by increasing k.  GroupElement(n, 0, 0) refuses n < 1."""
+    return [GroupElement(n, j, k) for j in (0, 1) for k in range(max(n, 1))]
 
 
 def element_name(g: GroupElement) -> str:
@@ -146,8 +146,6 @@ def element_name(g: GroupElement) -> str:
 def parse_element(n: int, name: str) -> GroupElement:
     """Inverse of :func:`element_name`; for n = 4 the matrix labels
     (R0..R3, V, H, D1, D2) are accepted as aliases, case-insensitively."""
-    if n < 1:
-        raise DomainError(f"dihedral order must be >= 1, got {n}")
     if n == 4:
         alias = _D4_LABEL_TO_JK.get(name.upper())
         if alias is not None:

@@ -30,7 +30,7 @@ from .errors import (
     MissingPointError,
     SchemaError,
 )
-from .formatting import fmt as _format_float, ordered_mean
+from .formatting import fmt as _format_float, ordered_mean, read_text
 from .record import record
 
 __all__ = [
@@ -134,12 +134,15 @@ for _l, _r in LATERAL_PAIRS:
     _COUNTERPART[_r] = _l
 
 
+def _check_id(point_id: int) -> None:
+    if not (isinstance(point_id, int) and 0 <= point_id < POINT_COUNT):
+        raise SchemaError(f"point id out of range: {point_id}")
+
+
 def counterpart(point_id: int) -> int:
     """Mirror-image id of a point; midline points map to themselves."""
-    try:
-        return _COUNTERPART[point_id]
-    except KeyError:
-        raise SchemaError(f"point id out of range: {point_id}") from None
+    _check_id(point_id)
+    return _COUNTERPART[point_id]
 
 
 def default_state(point_id: int) -> PointState:
@@ -149,11 +152,6 @@ def default_state(point_id: int) -> PointState:
 
 _DEFAULT_STATES: tuple[PointState, ...] = tuple(map(default_state, range(POINT_COUNT)))
 _IDS = frozenset(range(POINT_COUNT))
-
-
-def _check_id(point_id: int) -> None:
-    if not 0 <= point_id < POINT_COUNT:
-        raise SchemaError(f"point id out of range: {point_id}")
 
 
 @record
@@ -390,11 +388,7 @@ def parse_frame(text: str) -> FaceFrame:
 
 
 def load_frame(path: str | Path) -> FaceFrame:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FrameParseError(f"not UTF-8 text: {exc.reason}") from None
-    return parse_frame(text)
+    return parse_frame(read_text(path, FrameParseError))
 
 
 def save_frame(path: str | Path, frame: FaceFrame) -> None:
@@ -478,7 +472,7 @@ def load_sequence(directory: str | Path) -> FrameSequence:
         cp = configparser.ConfigParser()
         try:
             # an unreadable file raises OSError here, which ``read`` would swallow
-            cp.read_string(ini.read_text(encoding="utf-8"), source=str(ini))
+            cp.read_string(read_text(ini, SchemaError, "sequence.ini is "), source=str(ini))
             if cp.has_option("sequence", "interocular_ref"):
                 ref = _ini_number(cp.get("sequence", "interocular_ref"), "interocular_ref")
             if cp.has_option("sequence", "timestamps"):
@@ -486,8 +480,6 @@ def load_sequence(directory: str | Path) -> FrameSequence:
                 timestamps = tuple(
                     _ini_number(t, "timestamps") for t in raw.split(",") if t.strip()
                 )
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"sequence.ini is not UTF-8 text: {exc.reason}") from None
         except configparser.Error as exc:
             raise SchemaError(f"malformed sequence.ini: {exc}") from None
     return FrameSequence(tuple(frames), timestamps=timestamps, interocular_ref=ref)

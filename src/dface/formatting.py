@@ -1,12 +1,14 @@
 """One float format and one float mean for every text artifact, so reruns
-are byte-identical.
+are byte-identical, and one reader for every text input.
 
 The one deliberate exception is ``dface classify``, which prints emotion
 scores with ``%.3f`` (``Happiness,1.000,rank=1``); changing it would change
 the bytes that command has always printed.
 """
 
-__all__ = ["fmt", "ordered_mean"]
+from pathlib import Path
+
+__all__ = ["fmt", "ordered_mean", "read_text"]
 
 
 def fmt(value: float) -> str:
@@ -23,3 +25,12 @@ def ordered_mean(values: list[float]) -> float:
     for value in values:
         total += value
     return total / len(values)
+
+
+def read_text(path: str | Path, error: type[Exception], subject: str = "") -> str:
+    """The UTF-8 text of the file at ``path``; other bytes raise ``error``
+    with the message ``<subject>not UTF-8 text: <reason>``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{subject}not UTF-8 text: {exc.reason}") from None

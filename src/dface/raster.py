@@ -31,6 +31,7 @@ __all__ = [
     "crop",
     "pad_to_square",
     "check_sigma",
+    "check_thresholds",
 ]
 
 
@@ -195,11 +196,19 @@ def to_grayscale(img: RasterImage) -> RasterImage:
 def check_sigma(sigma: float) -> None:
     """Raise DomainError unless the Gaussian taps for ``sigma`` are finite:
     sigma must be positive and finite, with ``2 sigma**2`` a normal float."""
-    if not (sigma > 0 and isfinite(sigma) and 2.0 * sigma * sigma >= float_info.min):
+    if not (isinstance(sigma, (int, float)) and sigma > 0 and isfinite(sigma)
+            and 2.0 * sigma * sigma >= float_info.min):
         raise DomainError(
             f"sigma must be positive and finite with 2*sigma**2 >= {float_info.min!r}, "
             f"got {sigma}"
         )
+
+
+def check_thresholds(low: float, high: float) -> None:
+    """Raise DomainError unless ``low`` and ``high`` are valid Canny thresholds."""
+    if not (isinstance(low, (int, float)) and isinstance(high, (int, float))
+            and 0.0 < low < high and high <= 1.0):
+        raise DomainError(f"thresholds must satisfy 0 < low < high <= 1, got {low}, {high}")
 
 
 def _gaussian_taps(sigma: float) -> np.ndarray:
@@ -362,8 +371,7 @@ def canny_edges(
     import numpy as np
     if img.channels != 1:
         raise RasterShapeError("edge detection expects a single-channel image")
-    if not (0.0 < low < high <= 1.0):
-        raise DomainError(f"thresholds must satisfy 0 < low < high <= 1, got {low}, {high}")
+    check_thresholds(low, high)
     check_sigma(sigma)
     plane = _smooth_float(img.array().astype(np.float64), sigma)
     gx = _convolve3(plane, _SOBEL_X)
@@ -432,8 +440,8 @@ def pad_to_square(
     """Center the image on a max(w, h) square canvas; returns the padded
     image and the (left, top) offset for remapping key points."""
     import numpy as np
-    if not 0 <= fill <= 255:
-        raise DomainError(f"fill sample must be in [0, 255], got {fill}")
+    if not (isinstance(fill, int) and 0 <= fill <= 255):
+        raise DomainError(f"fill sample must be an int in [0, 255], got {fill!r}")
     side = max(img.width, img.height)
     pad_x, pad_y = side - img.width, side - img.height
     left, top = pad_x // 2, pad_y // 2

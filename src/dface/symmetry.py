@@ -230,11 +230,10 @@ def _movement_terms(
 def movement_asymmetry(
     seq: FrameSequence,
     axes: list[MidlineAxis] | None = None,
-    reference: float | None = None,
 ) -> float:
     """Mean absolute difference between left displacement magnitudes and
     mirrored right displacement magnitudes over consecutive frames,
-    normalized by the sequence's reference interocular distance.
+    normalized by ``seq.reference_interocular()``.
 
     Mirroring uses each frame's own axis, so the score tracks genuine
     one-sided motion rather than head translation.  Mirroring the sequence
@@ -252,8 +251,7 @@ def movement_asymmetry(
     terms = _movement_terms(seq, axes)
     if not terms:
         raise InsufficientPairsError("movement score needs at least one tracked pair")
-    ref = reference if reference is not None else seq.reference_interocular()
-    return _mean([t for _, t in terms], ref)
+    return _mean([t for _, t in terms], seq.reference_interocular())
 
 
 def reconstruct_occluded(frame: FaceFrame, axis: MidlineAxis | None = None) -> FaceFrame:

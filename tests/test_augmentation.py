@@ -85,6 +85,8 @@ def test_quarter_turn_transposes_shape():
 def test_image_action_rejects_other_orders():
     with pytest.raises(UnsupportedOrderError):
         act_on_image(identity(3), gray([[0]]))
+    with pytest.raises(UnsupportedOrderError):
+        transform_kernel(identity(3), np.ones((3, 3)))
 
 
 def test_image_action_composition_law():

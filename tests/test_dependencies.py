@@ -1,6 +1,7 @@
 """The package imports nothing beyond the standard library and numpy, and
 loads numpy, hashlib, configparser and dataclasses only inside the functions
-that use them; no module imports another's private names."""
+that use them; no module imports another's private names; one function
+decodes text files."""
 
 import ast
 import sys
@@ -81,3 +82,27 @@ def test_no_module_imports_a_private_name_from_another():
                 if alias.name.startswith("_")
             ]
     assert private == []
+
+
+def _by_function(node: ast.AST, where: str):
+    """(name of the innermost enclosing function, node) for every node below."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield inner, child
+        yield from _by_function(child, inner)
+
+
+def test_only_the_shared_reader_decodes_text_files():
+    # Non-UTF-8 input is refused by formatting.read_text alone, so a second
+    # reader cannot word or classify that error differently.
+    assert SOURCES
+    readers = set()
+    for path in SOURCES:
+        for where, node in _by_function(ast.parse(path.read_text(encoding="utf-8")), "<module>"):
+            caught = isinstance(node, ast.ExceptHandler) and node.type is not None and {
+                n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)
+            } & {"UnicodeDecodeError", "UnicodeError"}
+            decodes = isinstance(node, ast.Attribute) and node.attr in ("read_text", "decode")
+            if caught or decodes:
+                readers.add(f"{path.name}: {where}")
+    assert readers == {"formatting.py: read_text"}

@@ -41,6 +41,12 @@ def test_bad_construction_rejected():
         GroupElement(4, 2, 0)
 
 
+@pytest.mark.parametrize("fields", [(4, 0, 1.5), (4.0, 0, 1), ("4", 0, 0), (4, 1.0, 0), (4, 0, None)])
+def test_group_element_fields_must_be_ints(fields):
+    with pytest.raises(DomainError):
+        GroupElement(*fields)
+
+
 def test_compose_rotations_add():
     r = rotation(4)
     assert compose(r, r) == GroupElement(4, 0, 2)

@@ -53,8 +53,9 @@ def test_counterpart_involution():
         assert counterpart(right) == left
     for pid in MIDLINE_IDS:
         assert counterpart(pid) == pid
-    with pytest.raises(SchemaError):
-        counterpart(24)
+    for bad in (24, -1, 1.5, "1"):
+        with pytest.raises(SchemaError, match="point id out of range"):
+            counterpart(bad)
 
 
 def test_default_states():

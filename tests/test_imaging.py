@@ -797,5 +797,6 @@ def test_pad_to_square_noop():
 
 
 def test_pad_to_square_bad_fill():
-    with pytest.raises(DomainError):
-        pad_to_square(gray(np.zeros((2, 3))), fill=256)
+    for fill in (256, -1, 1.5, "9"):
+        with pytest.raises(DomainError):
+            pad_to_square(gray(np.zeros((2, 3))), fill=fill)

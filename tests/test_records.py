@@ -17,6 +17,8 @@ from dface.aus import (
     Emotion,
     EmotionRule,
     Side,
+    classify_emotion,
+    detect_active_aus,
 )
 from dface.config import Config
 from dface.dihedral import (
@@ -28,7 +30,7 @@ from dface.dihedral import (
 )
 from dface.errors import ConfigError, DomainError, RasterShapeError, SchemaError
 from dface.face import FaceFrame, FrameSequence, KeyPoint, PointState, Region
-from dface.raster import RasterImage, Rect
+from dface.raster import RasterImage, Rect, canny_edges, gaussian_smooth
 from dface.symmetry import AsymmetryReport, MidlineAxis
 
 _XY = tuple((float(i), float(2 * i)) for i in range(24))
@@ -224,6 +226,42 @@ def test_post_init_checks_still_run():
 def test_config_tie_order_must_be_a_tuple_of_emotions(tie_order):
     with pytest.raises(ConfigError, match="tie_order must be a tuple of Emotion members"):
         Config(tie_order=tie_order)
+
+
+def _refused_alike(fields: dict, library_call, prefix: str = "") -> None:
+    """Config refuses ``fields`` with the message of the DomainError that
+    the library code reading the same value raises, after ``prefix``."""
+    with pytest.raises(ConfigError) as by_config:
+        Config(**fields)
+    with pytest.raises(DomainError) as by_library:
+        library_call()
+    assert str(by_config.value) == prefix + str(by_library.value)
+
+
+_GRAY = RasterImage(3, 3, 1, bytes(9))
+
+
+@pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf"), "0.1", None],
+                         ids=["zero", "negative", "nan", "inf", "str", "none"])
+def test_config_and_library_refuse_the_same_numbers(bad):
+    _refused_alike({"au_threshold": bad}, lambda: detect_active_aus(_FRAME, _FRAME, bad))
+    _refused_alike({"canny_sigma": bad}, lambda: gaussian_smooth(_GRAY, bad), "canny ")
+    _refused_alike({"canny_low": bad}, lambda: canny_edges(_GRAY, bad, 0.3), "canny ")
+    _refused_alike({"canny_high": bad}, lambda: canny_edges(_GRAY, 0.1, bad), "canny ")
+
+
+@pytest.mark.parametrize("tie_order", [
+    (),
+    tuple(Emotion)[:5],
+    (Emotion.HAPPINESS,) * 6,
+    (*tuple(Emotion)[:5], Emotion.HAPPINESS),
+    tuple(e.value for e in Emotion),
+    list(Emotion),
+    "Happiness",
+], ids=["empty", "short", "one-six-times", "duplicate", "strings", "list", "str"])
+def test_config_and_classify_refuse_the_same_tie_orders(tie_order):
+    # no activations: the check runs before the neutral answer too
+    _refused_alike({"tie_order": tie_order}, lambda: classify_emotion([], tie_order))
 
 
 @pytest.mark.parametrize("samples", ["abcd", bytearray(4), memoryview(bytes(4)), [0, 0, 0, 0]],

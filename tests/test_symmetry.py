@@ -289,7 +289,8 @@ def test_movement_skips_incomplete_pairs(base_coords):
 
 def test_movement_reference_override(base_coords):
     seq = _two_frames(base_coords, {14: (0.0, 12.0)})
-    assert movement_asymmetry(seq, reference=120.0) == pytest.approx(0.01, rel=1e-12)
+    seq = FrameSequence(seq.frames, interocular_ref=120.0)
+    assert movement_asymmetry(seq) == pytest.approx(0.01, rel=1e-12)
 
 
 def test_movement_rigid_motion_invariance(base_coords):
