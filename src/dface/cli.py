@@ -264,9 +264,9 @@ def _cmd_classify(args, config: Config) -> int:
 def _cmd_augment(args, config: Config) -> int:
     element_names = None
     if args.elements:
-        element_names = [t.strip() for t in args.elements.split(",") if t.strip()]
-        for name in element_names:
-            _element(name)
+        tokens = [t.strip() for t in args.elements.split(",")]
+        # augment_dataset takes canonical names only, so V or r5 becomes s or r
+        element_names = [_element(t).name for t in tokens if t]
     center = None
     if args.center:
         center = _finite_numbers(args.center, 2, "center", "'x,y'")

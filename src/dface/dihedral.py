@@ -146,6 +146,8 @@ def element_name(g: GroupElement) -> str:
 def parse_element(n: int, name: str) -> GroupElement:
     """Inverse of :func:`element_name`; for n = 4 the matrix labels
     (R0..R3, V, H, D1, D2) are accepted as aliases, case-insensitively."""
+    if not isinstance(name, str):
+        raise DomainError(f"element name must be a str, got {type(name).__name__}")
     if n == 4:
         alias = _D4_LABEL_TO_JK.get(name.upper())
         if alias is not None:

@@ -227,6 +227,16 @@ def _movement_terms(
     return terms
 
 
+def _frame_axes(seq: FrameSequence, axes: list[MidlineAxis] | None) -> list[MidlineAxis]:
+    """``axes``, which must hold one axis per frame, or else each frame's
+    fitted midline."""
+    if axes is None:
+        return [estimate_midline(f) for f in seq.frames]
+    if len(axes) != len(seq.frames):
+        raise SchemaError(f"{len(axes)} axes for {len(seq.frames)} frames")
+    return axes
+
+
 def movement_asymmetry(
     seq: FrameSequence,
     axes: list[MidlineAxis] | None = None,
@@ -244,11 +254,7 @@ def movement_asymmetry(
         raise InsufficientFramesError(
             f"movement score needs >= 2 frames, got {len(seq.frames)}"
         )
-    if axes is None:
-        axes = [estimate_midline(f) for f in seq.frames]
-    if len(axes) != len(seq.frames):
-        raise SchemaError(f"{len(axes)} axes for {len(seq.frames)} frames")
-    terms = _movement_terms(seq, axes)
+    terms = _movement_terms(seq, _frame_axes(seq, axes))
     if not terms:
         raise InsufficientPairsError("movement score needs at least one tracked pair")
     return _mean([t for _, t in terms], seq.reference_interocular())
@@ -292,8 +298,7 @@ def asymmetry_report(
     movement score over consecutive steps, split by region.  A region with
     no terms, and movement with no tracked pair, score 0.0 here, where
     ``movement_asymmetry`` raises."""
-    if axes is None:
-        axes = [estimate_midline(f) for f in seq.frames]
+    axes = _frame_axes(seq, axes)
     frame_scores = [
         _scores(_structural_terms(frame, axis), _normalizer(frame))
         for frame, axis in zip(seq.frames, axes)

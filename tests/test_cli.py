@@ -520,6 +520,22 @@ def test_augment_element_subset_and_center(tmp_path, capsys):
     assert flipped == build_frame(symmetric_coords())
 
 
+def test_augment_element_aliases_write_the_canonical_files(tmp_path, capsys):
+    # V is the matrix label of s and r5 reduces to r; both pass the CLI's
+    # element check, so the dataset step must take them too
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_pgm(indir / "a.pgm", np.arange(16).reshape(4, 4))
+    outputs = {}
+    for names in ("V, r5", "s,r"):
+        out_dir = tmp_path / names
+        code, out, err = run(capsys, "augment", str(indir), str(out_dir), "--elements", names)
+        assert (code, out, err) == (0, "processed=1 written=2 errors=0\n", "")
+        outputs[names] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    assert outputs["V, r5"] == outputs["s,r"]
+    assert sorted(outputs["s,r"]) == ["a__r.pgm", "a__s.pgm", "manifest.csv"]
+
+
 def test_augment_unknown_element(tmp_path, capsys):
     (tmp_path / "in").mkdir()
     code, _, err = run(

@@ -129,6 +129,13 @@ def test_parse_matrix_labels():
         parse_element(4, "bogus")
 
 
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("name", [5, None, b"e", ("e",)])
+def test_parse_element_refuses_a_name_that_is_not_a_str(n, name):
+    with pytest.raises(DomainError, match="element name must be a str"):
+        parse_element(n, name)
+
+
 def test_matrix_table_values():
     assert matrix_of(identity(4)).entries == ((1, 0), (0, 1))
     assert matrix_of(rotation(4)).apply((1.0, 0.0)) == (0.0, 1.0)

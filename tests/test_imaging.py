@@ -18,13 +18,16 @@ from dface.dihedral import elements, parse_element
 from dface.errors import DomainError, ImageFormatError, RasterShapeError
 from dface.raster import (
     _FORWARD_STEPS,
+    _SOBEL_TAPS,
     _SOBEL_X,
     _SOBEL_Y,
     _STRIP_ROWS,
     RasterImage,
     Rect,
-    _convolve3,
+    _correlate,
+    _direction_bins,
     _gaussian_taps,
+    _gradients,
     _hysteresis,
     _smooth_float,
     bounding_rect,
@@ -482,19 +485,61 @@ def test_weak_only_hysteresis_edge_cases_match_the_union_find(shape):
         assert np.array_equal(_hysteresis(strong, weak), _every_weak_pixel_hysteresis(strong, weak))
 
 
-@pytest.mark.parametrize("h", [3, 4, _STRIP_ROWS + 1, _STRIP_ROWS + 2, 2 * _STRIP_ROWS + 1])
-@pytest.mark.parametrize("kernel", [_SOBEL_X, _SOBEL_Y])
-def test_strip_sobel_keeps_the_bits(h, kernel):
-    # four fifths signed zeros, so many windows sum six zero products, and
-    # one fifth non-integers, whose sums round by order: every value and
-    # every sign bit must match the whole-plane pass
+def _signed_zero_plane(h: int) -> np.ndarray:
+    """Four fifths signed zeros, so many Sobel windows sum six zero
+    products, and one fifth non-integers, whose sums round by order."""
     rng = np.random.default_rng(h)
     plane = np.where(rng.random((h, 37)) < 0.5, 0.0, -0.0)
     values = rng.random((h, 37)) < 0.2
     plane[values] = rng.normal(0.0, 100.0, int(values.sum()))
-    got, want = _convolve3(plane, kernel), _whole_plane_convolve3(plane, kernel)
+    return plane
+
+
+def _mod_bins(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Direction bins by np.mod, as every Canny before the strip pass
+    computed them."""
+    return np.mod(np.round(np.mod(np.arctan2(gy, gx), np.pi) / (np.pi / 4.0)).astype(np.int64), 4)
+
+
+@pytest.mark.parametrize("h", [3, 4, _STRIP_ROWS + 1, _STRIP_ROWS + 2, 2 * _STRIP_ROWS + 1])
+@pytest.mark.parametrize("kernel", [_SOBEL_X, _SOBEL_Y])
+def test_strip_sobel_keeps_the_bits(h, kernel):
+    # every value and every sign bit must match the whole-plane pass
+    plane = _signed_zero_plane(h)
+    got = np.zeros((h - 2, 35))
+    _correlate(plane, _SOBEL_TAPS[(_SOBEL_X, _SOBEL_Y).index(kernel)], got)
+    want = _whole_plane_convolve3(plane, kernel)[1:-1, 1:-1]
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, _STRIP_ROWS + 2, _STRIP_ROWS + 3, 2 * _STRIP_ROWS + 3])
+def test_strip_gradients_keep_the_bits(h):
+    # the strip pass against whole-plane Sobel: magnitude bit for bit, and
+    # the np.mod direction bins at every interior pixel
+    plane = _signed_zero_plane(h)
+    gx = _whole_plane_convolve3(plane, _SOBEL_X)
+    gy = _whole_plane_convolve3(plane, _SOBEL_Y)
+    mag, bins = _gradients(plane)
+    assert mag.tobytes() == np.hypot(gx, gy).tobytes()
+    assert np.array_equal(bins, _mod_bins(gx, gy)[1:-1, 1:-1])
+
+
+def test_direction_bins_match_np_mod_bins():
+    # every sign case of zero, tiny and huge components, and gradients a
+    # few ulps either side of each bin boundary k pi / 8
+    values = [0.0, 1e-300, 5e-324, 1e-5, 1.0, 3.0, 1e300, np.inf]
+    values = np.array(values + [-v for v in values])
+    gx, gy = (a.ravel() for a in np.meshgrid(values, values))
+    theta = np.arange(-8, 9) * (np.pi / 8.0)
+    steps = np.arange(-4, 5)
+    near_x = np.cos(theta)[:, None] + steps * np.spacing(1.0)
+    near_y = np.sin(theta)[:, None] + steps[::-1] * np.spacing(1.0)
+    gx = np.concatenate([gx, near_x.ravel(), 1e300 * near_x.ravel()])
+    gy = np.concatenate([gy, near_y.ravel(), 1e300 * near_y.ravel()])
+    got = np.empty(len(gx), dtype=np.int8)
+    _direction_bins(gx.copy(), gy.copy(), got)
+    assert np.array_equal(got, _mod_bins(gx, gy))
 
 
 def _every_pixel_direction_canny(arr: np.ndarray, low: float, high: float, sigma: float) -> bytes:
@@ -627,7 +672,7 @@ def _near_tie(arr: np.ndarray, low: float, high: float, sigma: float) -> bool:
     arithmetic, and then the rounding of sums taken in scan order, which D4
     does not keep, decides it."""
     plane = _smooth_float(arr.astype(np.float64), sigma)
-    gx, gy = _convolve3(plane, _SOBEL_X), _convolve3(plane, _SOBEL_Y)
+    gx, gy = _whole_plane_convolve3(plane, _SOBEL_X), _whole_plane_convolve3(plane, _SOBEL_Y)
     mag = np.hypot(gx, gy)
     h, w = mag.shape
     peak = mag.max()
@@ -636,7 +681,7 @@ def _near_tie(arr: np.ndarray, low: float, high: float, sigma: float) -> bool:
         # at t == 1 the peak pixel itself sits on the threshold, and stays
         if np.count_nonzero(np.abs(mag - t * peak) <= tol) > (t == 1.0):
             return True
-    bins = np.mod(np.round(np.mod(np.arctan2(gy, gx), np.pi) / (np.pi / 4.0)).astype(np.int64), 4)
+    bins = _mod_bins(gx, gy)
     center, sector = mag[1 : h - 1, 1 : w - 1], bins[1 : h - 1, 1 : w - 1]
     candidate = center >= low * peak - tol
     for b, (dr, dc) in enumerate(_FORWARD_STEPS):
@@ -705,6 +750,25 @@ def test_bounding_rect_simple():
 def test_bounding_rect_empty():
     with pytest.raises(DomainError):
         bounding_rect(gray(np.zeros((4, 4))))
+
+
+@pytest.mark.parametrize(
+    "shape, points, rect",
+    [
+        ((1, 1), [(0, 0)], Rect(0, 0, 1, 1)),
+        ((1, 9), [(0, 2), (0, 5)], Rect(2, 0, 6, 1)),
+        ((1, 9), [(0, 8)], Rect(8, 0, 9, 1)),
+        ((7, 1), [(1, 0), (4, 0)], Rect(0, 1, 1, 5)),
+        ((7, 1), [(0, 0)], Rect(0, 0, 1, 1)),
+    ],
+)
+def test_bounding_rect_one_pixel_wide(shape, points, rect):
+    arr = np.zeros(shape, dtype=np.uint8)
+    for y, x in points:
+        arr[y, x] = 255
+    assert bounding_rect(gray(arr)) == rect
+    with pytest.raises(DomainError):
+        bounding_rect(gray(np.zeros(shape)))
 
 
 def test_bounding_rect_matches_brute_force_sprinkles():

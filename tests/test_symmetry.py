@@ -273,6 +273,11 @@ def test_movement_axes_length_checked(base_coords):
     seq = _two_frames(base_coords, {})
     with pytest.raises(SchemaError):
         movement_asymmetry(seq, axes=[IDEAL_AXIS])
+    # the report runs the same check; zip used to drop the frames past the axes
+    three = FrameSequence(seq.frames + (seq.frames[0],))
+    for score in (movement_asymmetry, asymmetry_report):
+        with pytest.raises(SchemaError, match="^1 axes for 3 frames$"):
+            score(three, [IDEAL_AXIS])
 
 
 def test_movement_skips_incomplete_pairs(base_coords):
