@@ -208,7 +208,7 @@ def augment_dataset(
             written += 1
             if frame is not None:
                 moved = act_on_keypoints(g, frame, pivot)
-                save_frame(out_dir / f"{src.stem}__{entry.element}.csv", moved)
+                save_frame((out_dir / entry.path).with_suffix(".csv"), moved)
         manifests.append(OrbitManifest(manifest.source_id, tuple(kept), manifest.distinct_count))
         processed += 1
     (out_dir / "manifest.csv").write_text(manifest_csv(manifests), encoding="utf-8")

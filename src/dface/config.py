@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .aus import Emotion, check_threshold, check_tie_order
 from .errors import ConfigError, DomainError
-from .formatting import read_text
+from .formatting import read_ini, read_text
 from .raster import check_sigma, check_thresholds
 from .record import record
-
-if TYPE_CHECKING:
-    import configparser
 
 __all__ = ["Config", "load_config", "ENV_VAR", "MAX_SIGMA", "REPORT_FORMATS"]
 
@@ -23,12 +19,6 @@ ENV_VAR = "DFACE_CONFIG"
 # config sigma is capped like a CLI group order; the library functions take
 # any sigma whose taps are finite.
 MAX_SIGMA = 50.0
-
-_KNOWN = {
-    "au": {"threshold", "tie_order"},
-    "canny": {"low", "high", "sigma"},
-    "report": {"format"},
-}
 
 REPORT_FORMATS = ("csv", "svg", "both")
 
@@ -73,6 +63,17 @@ def _parse_tie_order(raw: str) -> tuple[Emotion, ...]:
     return tuple(order)
 
 
+# (section, key) -> (field, reader), read in this order: the first bad value is reported
+_FIELDS = {
+    ("au", "tie_order"): ("tie_order", _parse_tie_order),
+    ("report", "format"): ("report_format", str),
+    ("au", "threshold"): ("au_threshold", float),
+    ("canny", "low"): ("canny_low", float),
+    ("canny", "high"): ("canny_high", float),
+    ("canny", "sigma"): ("canny_sigma", float),
+}
+
+
 def load_config(path: str | Path | None = None) -> Config:
     """Read the INI config at ``path``, falling back to $DFACE_CONFIG, then
     to built-in defaults.  Unknown sections or keys are rejected."""
@@ -88,44 +89,11 @@ def load_config(path: str | Path | None = None) -> Config:
         text = read_text(path, ConfigError, "config file is ")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    import configparser  # only when a file is given: it adds to every start-up
-
-    cp = configparser.ConfigParser()
-    try:
-        cp.read_string(text, source=str(path))
-        return _config_from(cp)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from None
-
-
-def _config_from(cp: configparser.ConfigParser) -> Config:
-    for section in cp.sections():
-        if section not in _KNOWN:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in cp.options(section):
-            if key not in _KNOWN[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-    def grab_float(section: str, key: str, default: float) -> float:
-        if cp.has_option(section, key):
-            try:
-                return cp.getfloat(section, key)
-            except ValueError:
-                raise ConfigError(
-                    f"{section}.{key} must be a number, got {cp.get(section, key)!r}"
-                ) from None
-        return default
-
-    defaults = Config()
-    tie_order = defaults.tie_order
-    if cp.has_option("au", "tie_order"):
-        tie_order = _parse_tie_order(cp.get("au", "tie_order"))
-    fmt = cp.get("report", "format") if cp.has_option("report", "format") else defaults.report_format
-    return Config(
-        au_threshold=grab_float("au", "threshold", defaults.au_threshold),
-        canny_low=grab_float("canny", "low", defaults.canny_low),
-        canny_high=grab_float("canny", "high", defaults.canny_high),
-        canny_sigma=grab_float("canny", "sigma", defaults.canny_sigma),
-        tie_order=tie_order,
-        report_format=fmt,
-    )
+    fields = {}
+    for (section, key), raw in read_ini(text, str(path), ConfigError, "config", _FIELDS).items():
+        field, read = _FIELDS[section, key]
+        try:
+            fields[field] = read(raw)
+        except ValueError:
+            raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from None
+    return Config(**fields)

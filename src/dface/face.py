@@ -30,7 +30,7 @@ from .errors import (
     MissingPointError,
     SchemaError,
 )
-from .formatting import fmt as _format_float, ordered_mean, read_text
+from .formatting import fmt as _format_float, ordered_mean, read_ini, read_text
 from .record import record
 
 __all__ = [
@@ -435,6 +435,7 @@ class FrameSequence:
 
 
 _FRAME_FILE = re.compile(r"frame_(\d+)\.csv$")
+_SEQUENCE_KEYS = (("sequence", "interocular_ref"), ("sequence", "timestamps"))
 
 
 def _ini_number(text: str, key: str) -> float:
@@ -445,8 +446,9 @@ def _ini_number(text: str, key: str) -> float:
 
 
 def load_sequence(directory: str | Path) -> FrameSequence:
-    """Read ``frame_<i>.csv`` files (sorted by index) and an optional
-    ``sequence.ini`` holding ``interocular_ref`` and ``timestamps``."""
+    """Read ``frame_<i>.csv`` files (sorted by index, one file per index) and
+    an optional ``sequence.ini`` whose one section ``[sequence]`` may hold
+    ``interocular_ref`` and ``timestamps``."""
     directory = Path(directory)
     found = []
     for p in directory.iterdir():
@@ -456,6 +458,9 @@ def load_sequence(directory: str | Path) -> FrameSequence:
     if not found:
         raise SchemaError(f"no frame_<i>.csv files in {directory}")
     found.sort()
+    for (index, p), (same, q) in zip(found, found[1:]):
+        if index == same:
+            raise SchemaError(f"{p.name} and {q.name} both hold frame {index}")
     frames = []
     for _, p in found:
         try:
@@ -467,21 +472,14 @@ def load_sequence(directory: str | Path) -> FrameSequence:
     ref = None
     ini = directory / "sequence.ini"
     if ini.exists():
-        import configparser  # only for a sequence that has one: it adds to every start-up
-
-        cp = configparser.ConfigParser()
-        try:
-            # an unreadable file raises OSError here, which ``read`` would swallow
-            cp.read_string(read_text(ini, SchemaError, "sequence.ini is "), source=str(ini))
-            if cp.has_option("sequence", "interocular_ref"):
-                ref = _ini_number(cp.get("sequence", "interocular_ref"), "interocular_ref")
-            if cp.has_option("sequence", "timestamps"):
-                raw = cp.get("sequence", "timestamps")
-                timestamps = tuple(
-                    _ini_number(t, "timestamps") for t in raw.split(",") if t.strip()
-                )
-        except configparser.Error as exc:
-            raise SchemaError(f"malformed sequence.ini: {exc}") from None
+        # an unreadable file raises OSError here
+        text = read_text(ini, SchemaError, "sequence.ini is ")
+        values = read_ini(text, str(ini), SchemaError, "sequence.ini", _SEQUENCE_KEYS)
+        if ("sequence", "interocular_ref") in values:
+            ref = _ini_number(values["sequence", "interocular_ref"], "interocular_ref")
+        if ("sequence", "timestamps") in values:
+            raw = values["sequence", "timestamps"]
+            timestamps = tuple(_ini_number(t, "timestamps") for t in raw.split(",") if t.strip())
     return FrameSequence(tuple(frames), timestamps=timestamps, interocular_ref=ref)
 
 

@@ -1,14 +1,15 @@
 """One float format and one float mean for every text artifact, so reruns
-are byte-identical, and one reader for every text input.
+are byte-identical, and one reader each for text files and INI files.
 
 The one deliberate exception is ``dface classify``, which prints emotion
 scores with ``%.3f`` (``Happiness,1.000,rank=1``); changing it would change
 the bytes that command has always printed.
 """
 
+from collections.abc import Collection
 from pathlib import Path
 
-__all__ = ["fmt", "ordered_mean", "read_text"]
+__all__ = ["fmt", "ordered_mean", "read_ini", "read_text"]
 
 
 def fmt(value: float) -> str:
@@ -34,3 +35,27 @@ def read_text(path: str | Path, error: type[Exception], subject: str = "") -> st
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{subject}not UTF-8 text: {exc.reason}") from None
+
+
+def read_ini(text: str, source: str, error: type[Exception], name: str,
+             keys: Collection[tuple[str, str]]) -> dict[tuple[str, str], str]:
+    """The value of each ``(section, key)`` of ``keys`` that the INI ``text``,
+    read from ``source``, sets.  Any other section or key, ``[DEFAULT]``
+    included, and text that configparser refuses raise ``error``."""
+    import configparser  # only when a file is given: it adds to every start-up
+
+    # no header can name the section "", so [DEFAULT] is a section like any
+    # other instead of defaults that leak into every section
+    cp = configparser.ConfigParser(default_section="")
+    try:
+        cp.read_string(text, source=source)
+        for section in cp.sections():
+            if section not in {s for s, _ in keys}:
+                raise error(f"unknown {name} section [{section}]")
+            for key in cp.options(section):
+                if (section, key) not in keys:
+                    raise error(f"unknown key {key!r} in section [{section}]")
+        # values are interpolated as they are read, which can fail too
+        return {(s, k): cp.get(s, k) for s, k in keys if cp.has_option(s, k)}
+    except configparser.Error as exc:
+        raise error(f"malformed {name}: {exc}") from None

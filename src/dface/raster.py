@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+def _check_ints(*geometry) -> None:
+    for value in geometry:
+        if not isinstance(value, int):
+            raise RasterShapeError(f"geometry must be an int, got {value!r}")
+
+
 @record
 class RasterImage:
     """Immutable 8-bit image; ``samples`` is the row-major payload, one or
@@ -48,6 +54,7 @@ class RasterImage:
     def __post_init__(self):
         if not isinstance(self.samples, bytes):
             raise RasterShapeError(f"samples must be bytes, got {type(self.samples).__name__}")
+        _check_ints(self.width, self.height, self.channels)
         if self.width < 1 or self.height < 1:
             raise RasterShapeError(f"bad dimensions {self.width}x{self.height}")
         if self.channels not in (1, 3):
@@ -100,6 +107,7 @@ class Rect:
     y1: int
 
     def __post_init__(self):
+        _check_ints(self.x0, self.y0, self.x1, self.y1)
         if self.x0 >= self.x1 or self.y0 >= self.y1:
             raise RasterShapeError(
                 f"degenerate rectangle ({self.x0},{self.y0},{self.x1},{self.y1})"
@@ -435,9 +443,8 @@ def canny_edges(
     weak &= keep
     strong &= keep
 
+    # keep is False on the one-pixel border, so weak and strong are too
     edges = _hysteresis(strong, weak)
-    edges[0, :] = edges[-1, :] = False
-    edges[:, 0] = edges[:, -1] = False
     return RasterImage.from_array(edges.view(np.uint8) * 255)  # bools are bytes 0 and 1
 
 

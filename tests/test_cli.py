@@ -375,6 +375,54 @@ def test_bad_sequence_ini_is_schema_error(tmp_path, capsys, ini):
     assert (code, out) == (3, "") and err.startswith("error[schema]:")
 
 
+# one INI reader serves both files, so both refuse the same slips; each case
+# used to exit 0, the typo'd interocular_ref normalising by frame 0's eyes
+# instead.  A config already refused them in a named section
+# (test_config_unknown_key, test_config_unknown_section), not under [DEFAULT].
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("sequence.ini", "[sequence]\ninterocular_reff = 30\n",
+         "error[schema]: unknown key 'interocular_reff' in section [sequence]"),
+        ("sequence.ini", "[sequence]\ninterocular_ref = 30\n[extra]\nx = 1\n",
+         "error[schema]: unknown sequence.ini section [extra]"),
+        ("sequence.ini", "[DEFAULT]\ninterocular_ref = 30\n[sequence]\n",
+         "error[schema]: unknown sequence.ini section [DEFAULT]"),
+        ("config", "[DEFAULT]\nthresholdd = 0.1\n",
+         "error[config]: unknown config section [DEFAULT]"),
+        ("config", "[DEFAULT]\n[au]\nthreshold = 0.1\n",
+         "error[config]: unknown config section [DEFAULT]"),
+        ("config", "[DEFAULT]\nthreshold = 0.1\n[au]\n",
+         "error[config]: unknown config section [DEFAULT]"),
+    ],
+    ids=["ini-typo", "ini-section", "ini-default", "config-typo", "config-section", "config-default"],
+)
+def test_unknown_ini_entries_are_refused(tmp_path, capsys, name, text, message):
+    seqdir = tmp_path / "seq"
+    seqdir.mkdir()
+    write_frame(seqdir / "frame_0.csv")
+    write_frame(seqdir / "frame_1.csv", **{"14": (75.0, 152.0)})
+    argv = ["asymmetry", str(seqdir), "--movement"]
+    if name == "config":
+        (tmp_path / "dface.ini").write_text(text)
+        argv = ["--config", str(tmp_path / "dface.ini"), *argv]
+    else:
+        (seqdir / "sequence.ini").write_text(text)
+    assert run(capsys, *argv) == (3 if name == "sequence.ini" else 2, "", message + "\n")
+
+
+def test_duplicate_frame_index_is_schema_error(tmp_path, capsys):
+    # frame_1.csv and frame_01.csv used to load as two frames, ordered by path
+    seqdir = tmp_path / "seq"
+    seqdir.mkdir()
+    write_frame(seqdir / "frame_0.csv")
+    write_frame(seqdir / "frame_1.csv", **HAPPY_MOVES)
+    write_frame(seqdir / "frame_01.csv")
+    code, out, err = run(capsys, "asymmetry", str(seqdir))
+    assert (code, out) == (3, "")
+    assert err == "error[schema]: frame_01.csv and frame_1.csv both hold frame 1\n"
+
+
 def test_unreadable_sequence_ini_is_io_error(tmp_path, capsys):
     # a sequence.ini that cannot be read used to be skipped without a word,
     # and movement fell back to frame 0's eye distance

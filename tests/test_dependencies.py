@@ -1,7 +1,7 @@
 """The package imports nothing beyond the standard library and numpy, and
 loads numpy, hashlib, configparser and dataclasses only inside the functions
 that use them; no module imports another's private names; one function
-decodes text files."""
+decodes text files, and one parses INI files."""
 
 import ast
 import sys
@@ -106,3 +106,16 @@ def test_only_the_shared_reader_decodes_text_files():
             if caught or decodes:
                 readers.add(f"{path.name}: {where}")
     assert readers == {"formatting.py: read_text"}
+
+
+def test_only_the_shared_ini_reader_imports_configparser():
+    # --config and sequence.ini go through formatting.read_ini alone, so the
+    # two files cannot drift apart on which sections and keys they refuse
+    assert SOURCES
+    importers = {
+        f"{path.name}: {where}"
+        for path in SOURCES
+        for where, node in _by_function(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+        if "configparser" in _imported(node)
+    }
+    assert importers == {"formatting.py: read_ini"}

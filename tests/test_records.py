@@ -272,6 +272,19 @@ def test_raster_samples_must_be_bytes(samples):
         RasterImage(2, 2, 1, samples)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Rect("a", "b", "c", "d"),
+    lambda: Rect(0.5, 0, 2, 2),
+    lambda: Rect(0, 0, 2, None),
+    lambda: RasterImage(2.0, 2, 1, b"abcd"),
+    lambda: RasterImage(2, 2, 1.0, b"abcd"),
+], ids=["rect-str", "rect-float", "rect-none", "image-float-width", "image-float-channels"])
+def test_raster_geometry_must_be_int(make):
+    # a float rectangle used to reach numpy's slicing as a bare TypeError
+    with pytest.raises(RasterShapeError, match="geometry must be an int"):
+        make()
+
+
 def test_sequence_frames_must_be_face_frames(base_frame):
     with pytest.raises(SchemaError, match="must be a FaceFrame"):
         FrameSequence(("x", "y"))
