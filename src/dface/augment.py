@@ -191,25 +191,27 @@ def augment_dataset(
         try:
             img = read_image(src.read_bytes())
             manifest, images = orbit(img, src.stem)
+            kept = [(g, entry) for g, entry in zip(elements(4), manifest.entries)
+                    if wanted is None or entry.element in wanted]
             kp_path = src.with_suffix(".csv")
             frame = load_frame(kp_path) if kp_path.exists() else None
+            pivot = center if center is not None else ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
+            # Every element's key points move before any file is written, so
+            # a frame that one element cannot move skips the image whole.
+            moved = [None if frame is None else act_on_keypoints(g, frame, pivot)
+                     for g, _ in kept]
         except DfaceError as exc:
             if require_square and isinstance(exc, RasterShapeError):
                 raise
             errors.append((src.name, str(exc)))
             continue
-        pivot = center if center is not None else ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
-        kept = []
-        for g, entry in zip(elements(4), manifest.entries):
-            if wanted is not None and entry.element not in wanted:
-                continue
-            kept.append(entry)
+        for (_, entry), points in zip(kept, moved):
             (out_dir / entry.path).write_bytes(write_image(images[entry.element]))
-            written += 1
-            if frame is not None:
-                moved = act_on_keypoints(g, frame, pivot)
-                save_frame((out_dir / entry.path).with_suffix(".csv"), moved)
-        manifests.append(OrbitManifest(manifest.source_id, tuple(kept), manifest.distinct_count))
+            if points is not None:
+                save_frame((out_dir / entry.path).with_suffix(".csv"), points)
+        written += len(kept)
+        entries = tuple(entry for _, entry in kept)
+        manifests.append(OrbitManifest(manifest.source_id, entries, manifest.distinct_count))
         processed += 1
     (out_dir / "manifest.csv").write_text(manifest_csv(manifests), encoding="utf-8")
     return AugmentSummary(processed, written, tuple(errors))

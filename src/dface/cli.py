@@ -232,13 +232,8 @@ def _parse_axis(raw: str) -> MidlineAxis | None:
 
 def _cmd_reconstruct(args, config: Config) -> int:
     frame = load_frame(args.frame)
-    axis = _parse_axis(args.axis)
-    restored = reconstruct_occluded(frame, axis)
-    text = serialize_frame(restored)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    restored = reconstruct_occluded(frame, _parse_axis(args.axis))
+    _write_or_stdout(serialize_frame(restored).encode("utf-8"), args.output)
     return 0
 
 
@@ -263,10 +258,12 @@ def _cmd_classify(args, config: Config) -> int:
 
 def _cmd_augment(args, config: Config) -> int:
     element_names = None
-    if args.elements:
+    if args.elements is not None:
         tokens = [t.strip() for t in args.elements.split(",")]
         # augment_dataset takes canonical names only, so V or r5 becomes s or r
         element_names = [_element(t).name for t in tokens if t]
+        if not element_names:
+            raise UsageError(f"--elements names no element, got {args.elements!r}")
     center = None
     if args.center:
         center = _finite_numbers(args.center, 2, "center", "'x,y'")
@@ -330,89 +327,65 @@ def _cmd_report(args, config: Config) -> int:
     return 0
 
 
+def _arg(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_OUTPUT = _arg("-o", "--output")
+
+# One row per subcommand: name, help, handler, arguments.  An argument is a
+# plain name, an _arg, or a list of _args that are mutually exclusive.
+_COMMANDS = (
+    ("cayley", "print the D_n multiplication table", _cmd_cayley, ("n",)),
+    ("verify", "check the group axioms for D_n", _cmd_verify, ("n",)),
+    ("transform", "apply one group element to an image", _cmd_transform,
+     ("element", "image", _OUTPUT)),
+    ("orbit", "write all 8 transformed images plus a manifest", _cmd_orbit, ("image", "outdir")),
+    ("kernels", "write the 8-member transformed kernel bank", _cmd_kernels,
+     ("kernel_file", "outdir")),
+    ("preprocess", "grayscale, denoise, find edges, crop to their box, pad square",
+     _cmd_preprocess, ("image", _OUTPUT)),
+    ("midline", "estimate the facial midline of one frame", _cmd_midline, ("frame",)),
+    ("asymmetry", "structural/movement asymmetry scores", _cmd_asymmetry, (
+        _arg("path", help="frame CSV or sequence directory"),
+        [_arg("--structural", action="store_true"), _arg("--movement", action="store_true")],
+    )),
+    ("reconstruct", "fill occluded points by mirroring", _cmd_reconstruct,
+     ("frame", _arg("--axis", default="auto", help="'auto' or 'x,y,dx,dy'"), _OUTPUT)),
+    ("aus", "detect activated action units", _cmd_aus, ("neutral", "expr")),
+    ("classify", "rank basic emotions for an expression", _cmd_classify, ("neutral", "expr")),
+    ("augment", "expand a dataset by the group orbit", _cmd_augment, (
+        "indir", "outdir",
+        _arg("--elements", help="comma list, e.g. 'e,r,sr2'"),
+        _arg("--center", help="key point pivot 'x,y'"),
+        _arg("--require-square", action="store_true"),
+    )),
+    ("report", "per-frame asymmetry and emotion report", _cmd_report, (
+        "seqdir", "outdir",
+        _arg("--report-format", choices=REPORT_FORMATS),
+        _arg("--neutral", help="neutral frame CSV (default: first frame)"),
+    )),
+)
+
+
 @functools.cache  # built on the first main() call; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dface",
         description="Square-symmetry toolkit for facial key point analysis.",
     )
-    parser.add_argument("--config", default=None, help="INI config path")
+    parser.add_argument("--config", help="INI config path")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cayley", help="print the D_n multiplication table")
-    p.add_argument("n")
-    p.set_defaults(handler=_cmd_cayley)
-
-    p = sub.add_parser("verify", help="check the group axioms for D_n")
-    p.add_argument("n")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("transform", help="apply one group element to an image")
-    p.add_argument("element")
-    p.add_argument("image")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(handler=_cmd_transform)
-
-    p = sub.add_parser("orbit", help="write all 8 transformed images plus a manifest")
-    p.add_argument("image")
-    p.add_argument("outdir")
-    p.set_defaults(handler=_cmd_orbit)
-
-    p = sub.add_parser("kernels", help="write the 8-member transformed kernel bank")
-    p.add_argument("kernel_file")
-    p.add_argument("outdir")
-    p.set_defaults(handler=_cmd_kernels)
-
-    p = sub.add_parser(
-        "preprocess",
-        help="grayscale, denoise, find edges, crop to their box, pad square",
-    )
-    p.add_argument("image")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(handler=_cmd_preprocess)
-
-    p = sub.add_parser("midline", help="estimate the facial midline of one frame")
-    p.add_argument("frame")
-    p.set_defaults(handler=_cmd_midline)
-
-    p = sub.add_parser("asymmetry", help="structural/movement asymmetry scores")
-    p.add_argument("path", help="frame CSV or sequence directory")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--structural", action="store_true")
-    group.add_argument("--movement", action="store_true")
-    p.set_defaults(handler=_cmd_asymmetry)
-
-    p = sub.add_parser("reconstruct", help="fill occluded points by mirroring")
-    p.add_argument("frame")
-    p.add_argument("--axis", default="auto", help="'auto' or 'x,y,dx,dy'")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(handler=_cmd_reconstruct)
-
-    p = sub.add_parser("aus", help="detect activated action units")
-    p.add_argument("neutral")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_aus)
-
-    p = sub.add_parser("classify", help="rank basic emotions for an expression")
-    p.add_argument("neutral")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("augment", help="expand a dataset by the group orbit")
-    p.add_argument("indir")
-    p.add_argument("outdir")
-    p.add_argument("--elements", default=None, help="comma list, e.g. 'e,r,sr2'")
-    p.add_argument("--center", default=None, help="key point pivot 'x,y'")
-    p.add_argument("--require-square", action="store_true")
-    p.set_defaults(handler=_cmd_augment)
-
-    p = sub.add_parser("report", help="per-frame asymmetry and emotion report")
-    p.add_argument("seqdir")
-    p.add_argument("outdir")
-    p.add_argument("--report-format", default=None, choices=REPORT_FORMATS)
-    p.add_argument("--neutral", default=None, help="neutral frame CSV (default: first frame)")
-    p.set_defaults(handler=_cmd_report)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        for argument in arguments:
+            target, members = p, [argument]
+            if isinstance(argument, list):
+                target, members = p.add_mutually_exclusive_group(), argument
+            for member in members:
+                flags, kwargs = _arg(member) if isinstance(member, str) else member
+                target.add_argument(*flags, **kwargs)
     return parser
 
 

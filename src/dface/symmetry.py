@@ -56,7 +56,9 @@ class MidlineAxis:
     """A line through ``point`` along unit vector ``direction`` (oriented
     with non-negative y so "down the face" is consistent in raster
     coordinates).  ``fit_residual`` is the RMS distance of the pair
-    midpoints to the line, normalized by interocular distance."""
+    midpoints to the line, normalized by interocular distance.  Raises
+    SchemaError unless ``point`` and ``direction`` are finite ``(x, y)``
+    tuples, ``fit_residual`` is finite and ``degenerate`` is a bool."""
 
     point: tuple[float, float]
     direction: tuple[float, float]
@@ -64,6 +66,13 @@ class MidlineAxis:
     degenerate: bool = False
 
     def __post_init__(self):
+        for name, pair in (("point", self.point), ("direction", self.direction)):
+            if not (isinstance(pair, tuple) and len(pair) == 2 and _finite(*pair)):
+                raise SchemaError(f"axis {name} must be a finite (x, y) tuple, got {pair!r}")
+        if not _finite(self.fit_residual):
+            raise SchemaError(f"axis fit_residual must be finite, got {self.fit_residual!r}")
+        if not isinstance(self.degenerate, bool):
+            raise SchemaError(f"axis degenerate must be a bool, got {self.degenerate!r}")
         dx, dy = self.direction
         if abs(math.hypot(dx, dy) - 1.0) > 1e-12:
             raise SchemaError("axis direction must be a unit vector")
@@ -76,6 +85,13 @@ class MidlineAxis:
 
     def distance(self, p: tuple[float, float]) -> float:
         return abs(self.offset(p))
+
+
+def _finite(*values) -> bool:
+    try:
+        return all(map(math.isfinite, values))
+    except TypeError:  # a value that is not a number
+        return False
 
 
 def estimate_midline(frame: FaceFrame) -> MidlineAxis:

@@ -464,6 +464,22 @@ def test_augment_dataset_records_bad_keypoints(tmp_path):
     assert summary.errors[0][0] == "face.pgm"
 
 
+def test_augment_dataset_skips_keypoints_that_cannot_move(tmp_path, base_frame):
+    # about this pivot the identity still gives finite coordinates but a
+    # quarter turn gives x = inf; no file of the image may be written first
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.mkdir()
+    (src / "face.pgm").write_bytes(write_image(gray(np.zeros((2, 2)))))
+    save_frame(src / "face.csv", base_frame)
+    summary = augment_dataset(src, out, center=(1e308, -1e308))
+    assert (summary.processed, summary.written) == (0, 0)
+    assert summary.errors == (
+        ("face.pgm", "coordinates must be None or an (x, y) pair of finite numbers, got (inf, 0.0)"),
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.csv"]
+    assert (out / "manifest.csv").read_text() == manifest_csv([])
+
+
 def test_augment_dataset_reruns_are_identical(tmp_path, base_frame):
     src = tmp_path / "in"
     src.mkdir()

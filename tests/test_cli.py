@@ -593,6 +593,41 @@ def test_augment_unknown_element(tmp_path, capsys):
     assert code == 2 and err.startswith("error[usage]:")
 
 
+@pytest.mark.parametrize("elements", [",", "", " , "])
+def test_augment_elements_must_name_an_element(tmp_path, capsys, elements):
+    # "--elements ," used to write an empty manifest and report written=0
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_pgm(indir / "a.pgm", np.zeros((2, 2)))
+    code, out, err = run(
+        capsys, "augment", str(indir), str(tmp_path / "out"), "--elements", elements
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error[usage]: --elements names no element, got {elements!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_augment_skips_an_image_whose_keypoints_cannot_move(tmp_path, capsys):
+    # a quarter turn about this pivot moves a key point to x = inf; the run
+    # used to stop there with exit 3, three files of a.pgm and no manifest
+    indir, outdir = tmp_path / "in", tmp_path / "out"
+    indir.mkdir()
+    write_pgm(indir / "a.pgm", np.arange(16).reshape(4, 4))
+    save_frame(indir / "a.csv", build_frame(symmetric_coords()))
+    write_pgm(indir / "b.pgm", np.zeros((2, 2)))
+    code, out, err = run(capsys, "augment", str(indir), str(outdir), "--center", "1e308,-1e308")
+    assert (code, out) == (0, "processed=1 written=8 errors=1\n")
+    assert err == (
+        "error[data]: a.pgm: coordinates must be None or an (x, y) pair of finite numbers, "
+        "got (inf, 0.0)\n"
+    )
+    names = sorted(p.name for p in outdir.iterdir())
+    assert names == ["b__e.pgm", "b__r.pgm", "b__r2.pgm", "b__r3.pgm", "b__s.pgm",
+                     "b__sr.pgm", "b__sr2.pgm", "b__sr3.pgm", "manifest.csv"]
+    manifest = (outdir / "manifest.csv").read_text().splitlines()
+    assert len(manifest) == 9 and all(line.startswith("b,") for line in manifest[1:])
+
+
 @pytest.mark.parametrize("center", ["nan,100", "100,inf"])
 def test_augment_rejects_non_finite_center(tmp_path, capsys, center):
     indir = tmp_path / "in"
@@ -1091,6 +1126,38 @@ def test_a_reused_parser_prints_what_a_fresh_one_prints(tmp_path, capsys, monkey
             assert in_process == _fresh_interpreter(argv, env), (columns, argv)
         helps.append(run(capsys, "--help")[1])
     assert helps[0] != helps[1]
+
+
+# sha256 of `dface --help` and `dface <command> --help` at COLUMNS=80, as the
+# hand-built parser printed them before one table declared the commands.
+_HELP_SHA256 = {
+    "": "e174dcae6c5345b3bffb3e75327b941c5946c1cacf34770c536ab7c370d3e42e",
+    "cayley": "e614dd0a688084d9dc38234494353367b3b39b325db507bb44edd77c0612d53b",
+    "verify": "091fd8b8a67ffda95b5d45263657fad17249e4b5cdf2dd5f5176a3bbf37f70b6",
+    "transform": "b47b64d398486bdcbffa787768541392dac7aebc06510ddd53356c54cfcf7b4c",
+    "orbit": "319c8922fe13e2db7e1bf47527fe8e29b9861e8f914f02c6e8d8f470f7ac2d9e",
+    "kernels": "01307b0425e032418f6eb1b5860f47a23d6dcb95a06c25e5003117a0882ef4fd",
+    "preprocess": "6432ae130566ce4ed9539d791803403562108b5fe65a002097e410868478b076",
+    "midline": "ebc7ae8f0f1d39c29aa5e1aed35788afa9228c56adfa4c94be1b8576919fd5ee",
+    "asymmetry": "dba201127ca656dd02c66089a5df53e93f76944e79de346bc0c28e919eaca625",
+    "reconstruct": "5e330f20eb1def7069072380c83a876aca7b03a94ab46aea84752fdd51661c47",
+    "aus": "e2b46af6ef13667b6167f49635dd462f4fac3122c20f235aff11ac933aca9da2",
+    "classify": "8019bf79e6fb57ed50a57e3dc0cbe6835e2c544614caab8faf037eda5a4b9f7b",
+    "augment": "514c49e465044cfd37ddb196da2528c6ee779946f64552a8f3ee138e1624fce3",
+    "report": "ecc2371bf3da4ec3caaaf7f6468d7d5eb30b9feee1806498b4bd8181e66f051f",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently in other Python versions")
+def test_help_text_of_every_command_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digests = {}
+    for command in _HELP_SHA256:
+        code, out, err = run(capsys, *([command] if command else []), "--help")
+        assert (code, err) == (0, ""), command
+        digests[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == _HELP_SHA256
 
 
 # Counts the ArgumentParser objects built on import and over 20 commands.

@@ -290,3 +290,24 @@ def test_sequence_frames_must_be_face_frames(base_frame):
         FrameSequence(("x", "y"))
     with pytest.raises(SchemaError, match="must be a FaceFrame"):
         FrameSequence((base_frame, base_frame.xy))
+
+
+@pytest.mark.parametrize("args, message", [
+    (("x", "x", "x", "x"), "axis point must be a finite"),
+    (((0, "a"), (0.0, 1.0), 0.0), "axis point must be a finite"),
+    (([0.0, 0.0], (0.0, 1.0), 0.0), "axis point must be a finite"),
+    (((0.0, 0.0, 0.0), (0.0, 1.0), 0.0), "axis point must be a finite"),
+    (((float("inf"), 0.0), (0.0, 1.0), 0.0), "axis point must be a finite"),
+    (((0.0, 0.0), (0.0, float("nan")), 0.0), "axis direction must be a finite"),
+    (((0.0, 0.0), None, 0.0), "axis direction must be a finite"),
+    (((0.0, 0.0), (0.0, 1.0), float("nan")), "axis fit_residual must be finite"),
+    (((0.0, 0.0), (0.0, 1.0), "0"), "axis fit_residual must be finite"),
+    (((0.0, 0.0), (0.0, 1.0), 0.0, 1), "axis degenerate must be a bool"),
+    (((0.0, 0.0), (0.0, 1.0), 0.0, None), "axis degenerate must be a bool"),
+], ids=["all-str", "str-coordinate", "list-point", "triple-point", "inf-point",
+        "nan-direction", "none-direction", "nan-residual", "str-residual", "int-degenerate",
+        "none-degenerate"])
+def test_midline_axis_fields_are_checked(args, message):
+    # "x" for every field used to raise a bare ValueError from unpacking
+    with pytest.raises(SchemaError, match=message):
+        MidlineAxis(*args)
