@@ -90,23 +90,26 @@ class EmotionRule:
     refined_aus: frozenset[int]
 
 
-_DESCRIPTORS = {
-    1: "Inner Brow Raiser",
-    2: "Outer Brow Raiser",
-    4: "Brow Lowerer",
-    5: "Upper Lid Raiser",
-    6: "Cheek Raiser",
-    7: "Lid Tightener",
-    9: "Nose Wrinkler",
-    12: "Lip Corner Puller",
-    15: "Lip Corner Depressor",
-    16: "Lower Lip Depressor",
-    20: "Lip Stretcher",
-    23: "Lip Tightener",
-    26: "Jaw Drop",
+# AU number -> (descriptor, measure), in AU order.  The measure is None for
+# a passive AU, which the 24 points cannot observe; (sign, left ids, right
+# ids) for a lift read on each side, where the sign makes "fired" positive
+# (AUs 4 and 15 fire on downward motion); or the name of a measure taken
+# across the lower face.
+_UNITS = {
+    1: ("Inner Brow Raiser", (1.0, (LEFT_BROW_INNER,), (RIGHT_BROW_INNER,))),
+    2: ("Outer Brow Raiser", (1.0, (LEFT_BROW_OUTER,), (RIGHT_BROW_OUTER,))),
+    4: ("Brow Lowerer", (-1.0, LEFT_BROW_IDS, RIGHT_BROW_IDS)),
+    5: ("Upper Lid Raiser", None),
+    6: ("Cheek Raiser", None),
+    7: ("Lid Tightener", None),
+    9: ("Nose Wrinkler", None),
+    12: ("Lip Corner Puller", (1.0, (LEFT_LIP_CORNER,), (RIGHT_LIP_CORNER,))),
+    15: ("Lip Corner Depressor", (-1.0, (LEFT_LIP_CORNER,), (RIGHT_LIP_CORNER,))),
+    16: ("Lower Lip Depressor", "lip drop"),
+    20: ("Lip Stretcher", "widening"),
+    23: ("Lip Tightener", "narrowing"),
+    26: ("Jaw Drop", None),
 }
-
-_ACTIVE_NUMBERS = frozenset({1, 2, 4, 12, 15, 16, 20, 23})
 
 _FULL_RULES = {
     Emotion.HAPPINESS: frozenset({6, 12}),
@@ -152,19 +155,15 @@ class ActionUnitRuleSet:
 
 @lru_cache(maxsize=1)
 def rule_tables() -> ActionUnitRuleSet:
-    """The complete transcription; each refined rule is its full rule
-    restricted to the active AUs."""
+    """The complete transcription: an AU is active when it has a measure,
+    and each refined rule is its full rule restricted to the active AUs."""
+    active = frozenset(n for n, (_, measure) in _UNITS.items() if measure is not None)
     units = tuple(
-        ActionUnit(
-            n,
-            _DESCRIPTORS[n],
-            ActivityClass.ACTIVE if n in _ACTIVE_NUMBERS else ActivityClass.PASSIVE,
-        )
-        for n in sorted(_DESCRIPTORS)
+        ActionUnit(n, descriptor, ActivityClass.ACTIVE if n in active else ActivityClass.PASSIVE)
+        for n, (descriptor, _) in _UNITS.items()
     )
     rules = tuple(
-        EmotionRule(emotion, full, full & _ACTIVE_NUMBERS)
-        for emotion, full in _FULL_RULES.items()
+        EmotionRule(emotion, full, full & active) for emotion, full in _FULL_RULES.items()
     )
     return ActionUnitRuleSet(units, rules)
 
@@ -203,60 +202,39 @@ def detect_active_aus(
     iod = interocular_distance(neutral)
     tables = rule_tables()
 
-    def lift(pid: int) -> float:
-        # y-up displacement of one point, interocular-normalized
-        return (neutral.xy[pid][1] - expr.xy[pid][1]) / iod
+    def lift(ids: tuple[int, ...]) -> float:
+        # mean y-up displacement of some points, each interocular-normalized
+        return ordered_mean([(neutral.xy[p][1] - expr.xy[p][1]) / iod for p in ids])
 
-    def mean_lift(pids: tuple[int, ...]) -> float:
-        return ordered_mean([lift(p) for p in pids])
+    def growth(a: int, b: int) -> float:
+        # change of the distance between two points, interocular-normalized
+        return (math.dist(expr.xy[a], expr.xy[b]) - math.dist(neutral.xy[a], neutral.xy[b])) / iod
 
-    def span(frame: FaceFrame, a: int, b: int) -> float:
-        (xa, ya), (xb, yb) = frame.xy[a], frame.xy[b]
-        return math.hypot(xa - xb, ya - yb)
-
-    per_side: dict[int, tuple[float, float]] = {
-        1: (lift(LEFT_BROW_INNER), lift(RIGHT_BROW_INNER)),
-        2: (lift(LEFT_BROW_OUTER), lift(RIGHT_BROW_OUTER)),
-        4: (mean_lift(LEFT_BROW_IDS), mean_lift(RIGHT_BROW_IDS)),
-        12: (lift(LEFT_LIP_CORNER), lift(RIGHT_LIP_CORNER)),
-        15: (lift(LEFT_LIP_CORNER), lift(RIGHT_LIP_CORNER)),
+    width_delta = growth(LEFT_LIP_CORNER, RIGHT_LIP_CORNER)
+    lower_face = {
+        "lip drop": -lift((LIP_BOTTOM,)),
+        "widening": width_delta,
+        # narrowing counts only while the lips also flatten
+        "narrowing": -width_delta if -growth(LIP_TOP, LIP_BOTTOM) > threshold / 2.0 else 0.0,
     }
-    # AUs 4 and 15 fire on downward motion; flip sign so "fired" is positive.
-    signs = {1: 1.0, 2: 1.0, 4: -1.0, 12: 1.0, 15: -1.0}
 
     activations = []
-    for number in sorted(per_side):
-        left_v, right_v = per_side[number]
-        left_m, right_m = signs[number] * left_v, signs[number] * right_v
-        left_on, right_on = left_m > threshold, right_m > threshold
-        if not (left_on or right_on):
+    for number, (_, measure) in _UNITS.items():
+        if measure is None:
             continue
-        if left_on and right_on:
-            side, magnitude = Side.BILATERAL, (left_m + right_m) / 2.0
-        elif left_on:
-            side, magnitude = Side.LEFT, left_m
+        if isinstance(measure, str):
+            side, magnitude = Side.BILATERAL, lower_face[measure]
         else:
-            side, magnitude = Side.RIGHT, right_m
-        activations.append(AUActivation(tables.au(number), side, magnitude, True))
-
-    drop_16 = -lift(LIP_BOTTOM)
-    if drop_16 > threshold:
-        activations.append(AUActivation(tables.au(16), Side.BILATERAL, drop_16, True))
-
-    width_delta = (
-        span(expr, LEFT_LIP_CORNER, RIGHT_LIP_CORNER)
-        - span(neutral, LEFT_LIP_CORNER, RIGHT_LIP_CORNER)
-    ) / iod
-    if width_delta > threshold:
-        activations.append(AUActivation(tables.au(20), Side.BILATERAL, width_delta, True))
-
-    height_delta = (
-        span(expr, LIP_TOP, LIP_BOTTOM) - span(neutral, LIP_TOP, LIP_BOTTOM)
-    ) / iod
-    if -width_delta > threshold and -height_delta > threshold / 2.0:
-        activations.append(AUActivation(tables.au(23), Side.BILATERAL, -width_delta, True))
-
-    activations.sort(key=lambda a: a.au.number)
+            sign, left_ids, right_ids = measure
+            left_m, right_m = sign * lift(left_ids), sign * lift(right_ids)
+            if left_m > threshold and right_m > threshold:
+                side, magnitude = Side.BILATERAL, (left_m + right_m) / 2.0
+            elif right_m > threshold:
+                side, magnitude = Side.RIGHT, right_m
+            else:  # the left side, or neither, which the gate below drops
+                side, magnitude = Side.LEFT, left_m
+        if magnitude > threshold:
+            activations.append(AUActivation(tables.au(number), side, magnitude, True))
     return activations
 
 
@@ -294,12 +272,11 @@ def classify_emotion(
         return ClassificationResult("Neutral", ())
     tables = rule_tables()
     scored = []
-    for rank_hint, emotion in enumerate(order):
+    for emotion in order:
         rule_set = tables.rule(emotion).refined_aus
-        score = len(detected & rule_set) / len(detected | rule_set)
-        scored.append((emotion, score, rank_hint))
-    scored.sort(key=lambda t: (-t[1], t[2]))
-    ranking = tuple((emotion, score) for emotion, score, _ in scored)
+        scored.append((emotion, len(detected & rule_set) / len(detected | rule_set)))
+    # sorted is stable, so equal scores keep the tie order
+    ranking = tuple(sorted(scored, key=lambda pair: -pair[1]))
     return ClassificationResult(ranking[0][0].value, ranking)
 
 

@@ -79,11 +79,17 @@ def _element(raw: str):
         raise UsageError(str(exc)) from None
 
 
-def _write_or_stdout(data: bytes, output: str | None) -> None:
+def _write_or_stdout(data: str | bytes, output: str | None) -> None:
+    """Write ``data`` to the file ``output``, else to stdout: text as text,
+    bytes through its buffer, which a text-only stdout lacks."""
     if output:
-        Path(output).write_bytes(data)
-    else:
+        Path(output).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    elif isinstance(data, str):
+        sys.stdout.write(data)
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.buffer.write(data)
+    else:
+        raise OSError("stdout takes only text here; give -o FILE")
 
 
 def _cmd_cayley(args, config: Config) -> int:
@@ -233,7 +239,7 @@ def _parse_axis(raw: str) -> MidlineAxis | None:
 def _cmd_reconstruct(args, config: Config) -> int:
     frame = load_frame(args.frame)
     restored = reconstruct_occluded(frame, _parse_axis(args.axis))
-    _write_or_stdout(serialize_frame(restored).encode("utf-8"), args.output)
+    _write_or_stdout(serialize_frame(restored), args.output)
     return 0
 
 
@@ -265,7 +271,7 @@ def _cmd_augment(args, config: Config) -> int:
         if not element_names:
             raise UsageError(f"--elements names no element, got {args.elements!r}")
     center = None
-    if args.center:
+    if args.center is not None:
         center = _finite_numbers(args.center, 2, "center", "'x,y'")
     summary = augment_dataset(
         args.indir, args.outdir,

@@ -1,8 +1,13 @@
 """AU tables, displacement-based detection, and emotion ranking."""
 
-import pytest
+import hashlib
+import random
 
-from conftest import IOD, frame_with
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import IOD, frame_with, symmetric_coords
 from dface.aus import (
     DEFAULT_THRESHOLD,
     ActivityClass,
@@ -16,7 +21,8 @@ from dface.aus import (
 )
 from dface.augment import act_on_keypoints
 from dface.dihedral import reflection
-from dface.errors import DomainError
+from dface.errors import DfaceError, DomainError
+from dface.face import LATERAL_PAIRS, build_frame
 
 GATE = DEFAULT_THRESHOLD * IOD  # 3.0 px on the shared fixture
 
@@ -339,3 +345,59 @@ def test_activations_csv_golden():
         "4,Brow Lowerer,bilateral,0.08\n"
         "12,Lip Corner Puller,left,0.125\n"
     )
+
+
+def _random_pairs(count: int, seed: int):
+    """Seeded neutral/expression frames: a jittered mirrored face, every point
+    moved at one of several reaches, and up to three occluded points per
+    frame whose counterparts are present; each with a random tie order."""
+    rng = random.Random(seed)
+    base = symmetric_coords()
+    for _ in range(count):
+        jitter, reach = rng.choice((0.0, 0.5, 2.0)), rng.choice((0.5, 2.0, 4.0, 8.0, 16.0))
+        neutral = {p: (x + rng.gauss(0, jitter), y + rng.gauss(0, jitter))
+                   for p, (x, y) in base.items()}
+        expr = {p: (x + rng.gauss(0, reach), y + rng.gauss(0, reach))
+                for p, (x, y) in neutral.items()}
+        for coords in (neutral, expr):
+            for pair in rng.sample(LATERAL_PAIRS, rng.choice((0, 0, 1, 3))):
+                del coords[rng.choice(pair)]
+        order = tuple(Emotion)
+        if rng.random() < 0.5:
+            order = tuple(rng.sample(order, len(order)))
+        yield build_frame(neutral), build_frame(expr), order
+
+
+def test_detection_and_ranking_bits_are_pinned():
+    # 2,000 pairs at three thresholds fire every active AU on each side rule;
+    # the digest covers each magnitude's and score's exact bits
+    digest = hashlib.sha256()
+    for neutral, expr, order in _random_pairs(2000, seed=18):
+        for threshold in (0.01, 0.05, 0.2):
+            try:
+                acts = detect_active_aus(neutral, expr, threshold)
+                result = classify_emotion(acts, order)
+            except DfaceError as exc:
+                digest.update(f"{type(exc).__name__}\n".encode())
+                continue
+            line = "".join(f"{a.au.number},{a.side.value},{a.magnitude.hex()};" for a in acts)
+            line += result.label + "".join(f";{e.value},{s.hex()}" for e, s in result.ranking)
+            digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == (
+        "02141419fa04e9f7c4f955db83512f645309605f4952917a0d50efe8d5a78fdc"
+    )
+
+
+@given(
+    st.lists(st.floats(-15.0, 15.0), min_size=48, max_size=48),
+    st.floats(1e-3, 1.0),
+)
+def test_only_active_aus_fire_in_increasing_order(moves, threshold):
+    base = symmetric_coords()
+    expr = {p: (x + moves[2 * p], y + moves[2 * p + 1]) for p, (x, y) in base.items()}
+    acts = detect_active_aus(build_frame(base), build_frame(expr), threshold)
+    numbers = [a.au.number for a in acts]
+    tables = rule_tables()
+    assert not set(numbers) & tables.passive_numbers
+    assert set(numbers) <= tables.active_numbers
+    assert all(a < b for a, b in zip(numbers, numbers[1:]))

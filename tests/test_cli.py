@@ -1,6 +1,8 @@
 """End-to-end command line behavior: outputs, exit codes, configuration."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -462,6 +464,22 @@ def test_reconstruct_bad_axis(tmp_path, capsys):
     assert code == 2
 
 
+def test_stdout_without_a_byte_buffer(tmp_path):
+    # under a text-only stdout, reconstruct's CSV text is printed, while the
+    # image bytes of transform are refused; both let AttributeError escape
+    frame_path = write_frame(tmp_path / "f.csv", **{"2": None})
+    write_pgm(tmp_path / "in.pgm", [[1, 2], [3, 4]])
+    runs = []
+    for argv in (["reconstruct", str(frame_path)], ["transform", "e", str(tmp_path / "in.pgm")]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            runs.append((main(argv), out.getvalue(), err.getvalue()))
+    restored = serialize_frame(reconstruct_occluded(load_frame(frame_path)))
+    assert runs[0] == (0, restored, "")
+    code, out, err = runs[1]
+    assert (code, out) == (3, "") and err.startswith("error[io]:"), err
+
+
 @pytest.mark.parametrize("axis", ["100,0,nan,1", "inf,0,0,1", "100,-inf,0,1"])
 def test_reconstruct_rejects_non_finite_axis(tmp_path, capsys, axis):
     frame_path = write_frame(tmp_path / "f.csv")
@@ -604,6 +622,16 @@ def test_augment_elements_must_name_an_element(tmp_path, capsys, elements):
     )
     assert (code, out) == (2, "")
     assert err == f"error[usage]: --elements names no element, got {elements!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_augment_center_must_name_a_point(tmp_path, capsys):
+    # an empty --center used to mean the image centre and write all 8 images
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_pgm(indir / "a.pgm", np.zeros((2, 2)))
+    code, out, err = run(capsys, "augment", str(indir), str(tmp_path / "out"), "--center", "")
+    assert (code, out, err) == (2, "", "error[usage]: --center takes 'x,y'\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -50,12 +50,18 @@ def _mutated(draw, seed: bytes):
 
 
 def _check(argv):
-    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3), (code, err.getvalue())
-    if code:
-        assert err.getvalue().startswith("error["), err.getvalue()
+    """Run ``argv`` under a stdout with a byte buffer and under a text-only
+    one: both end alike, and a nonzero exit explains itself."""
+    ends = []
+    for out in (io.TextIOWrapper(io.BytesIO()), io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (code, err.getvalue())
+        if code:
+            assert err.getvalue().startswith("error["), err.getvalue()
+        ends.append((code, err.getvalue()))
+    assert ends[0] == ends[1]
 
 
 _EXAMPLES = settings(max_examples=60)
