@@ -63,10 +63,13 @@ MAX_ORDER = 256
 
 
 def _positive_order(raw: str) -> int:
+    """``raw`` as ASCII decimal digits naming an order in 1..MAX_ORDER."""
     try:
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError(raw)
         n = int(raw)
-    except ValueError:
-        raise UsageError(f"group order must be an integer, got {raw!r}") from None
+    except ValueError:  # not digits, or more of them than int() converts
+        raise UsageError(f"group order must be decimal digits, got {raw!r}") from None
     if not 1 <= n <= MAX_ORDER:
         raise UsageError(f"group order must be in 1..{MAX_ORDER}, got {n}")
     return n
@@ -402,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
+        for dest in ("output", "outdir"):
+            if getattr(args, dest, None) == "":
+                raise UsageError(f"{dest} must name a path, got ''")
         config = load_config(args.config)
         return args.handler(args, config)
     except OSError as exc:

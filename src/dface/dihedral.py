@@ -15,6 +15,7 @@ y upward, origin at the region center) and rotations are counterclockwise.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 from .errors import DomainError, UnsupportedOrderError
@@ -145,7 +146,8 @@ def element_name(g: GroupElement) -> str:
 
 def parse_element(n: int, name: str) -> GroupElement:
     """Inverse of :func:`element_name`; for n = 4 the matrix labels
-    (R0..R3, V, H, D1, D2) are accepted as aliases, case-insensitively."""
+    (R0..R3, V, H, D1, D2) are accepted as aliases, case-insensitively.
+    An exponent is ASCII decimal digits, reduced modulo n."""
     if not isinstance(name, str):
         raise DomainError(f"element name must be a str, got {type(name).__name__}")
     if n == 4:
@@ -159,8 +161,10 @@ def parse_element(n: int, name: str) -> GroupElement:
         return GroupElement(n, j, 0)
     if text == "r":
         return GroupElement(n, j, 1)
-    if text.startswith("r") and text[1:].isdigit():
-        return GroupElement(n, j, int(text[1:]))
+    digits = text[1:]
+    if text.startswith("r") and digits.isascii() and digits.isdigit():
+        with contextlib.suppress(ValueError):  # more digits than int() converts
+            return GroupElement(n, j, int(digits))
     raise DomainError(f"unknown element name {name!r}")
 
 
@@ -267,87 +271,45 @@ def verify_group_axioms(n: int) -> AxiomReport:
     names = {_pair(g): g.name for g in els}
     pairs = list(names)
     e = (0, 0)
-    checks: list[AxiomCheck] = []
-    violations: list[AxiomViolation] = []
-
-    def check(name: str, bad: list[AxiomViolation], detail_ok: str) -> None:
-        violations.extend(bad)
-        if bad:
-            witness = ";".join("(" + ",".join(v.witness) + ")" for v in bad[:3])
-            checks.append(AxiomCheck(name, False, f"{len(bad)} violations, e.g. {witness}"))
-        else:
-            checks.append(AxiomCheck(name, True, detail_ok))
-
     distinct = len(set(els))
-    check(
-        "element_count",
-        [] if distinct == 2 * n else [AxiomViolation("element_count", (str(distinct),))],
-        f"{2 * n} distinct elements",
-    )
-
-    bad = [
-        AxiomViolation("closure", (names[a], names[b]))
-        for a in pairs
-        for b in pairs
-        if _product(n, a, b) not in names
-    ]
-    check("closure", bad, f"{len(els) ** 2} products stay in the group")
-
-    bad = [
-        AxiomViolation("identity", (names[g],))
-        for g in pairs
-        if _product(n, e, g) != g or _product(n, g, e) != g
-    ]
-    check("identity", bad, "e * g == g * e == g for all elements")
-
-    bad = [
-        AxiomViolation("inverse", (names[g],))
-        for g, h in zip(pairs, map(_pair, map(inverse, els)))
-        if _product(n, g, h) != e or _product(n, h, g) != e
-    ]
-    check("inverse", bad, "two-sided inverses exist for all elements")
-
     if n <= _EXHAUSTIVE_ASSOC_LIMIT:
-        mode = "exhaustive"
-        triples = [(a, b, c) for a in pairs for b in pairs for c in pairs]
+        mode, triples = "exhaustive", [(a, b, c) for a in pairs for b in pairs for c in pairs]
     else:
-        mode = "sampled"
         rng = random.Random(0)
-        triples = [
-            (rng.choice(pairs), rng.choice(pairs), rng.choice(pairs))
-            for _ in range(_ASSOC_SAMPLES)
+        mode, triples = "sampled", [
+            (rng.choice(pairs), rng.choice(pairs), rng.choice(pairs)) for _ in range(_ASSOC_SAMPLES)
         ]
-    bad = [
-        AxiomViolation("associativity", (names[a], names[b], names[c]))
-        for a, b, c in triples
-        if _product(n, _product(n, a, b), c) != _product(n, a, _product(n, b, c))
+    # One row per axiom, in report order: name, detail if it holds, failure witnesses.
+    axioms = [
+        ("element_count", f"{2 * n} distinct elements",
+         [] if distinct == 2 * n else [(str(distinct),)]),
+        ("closure", f"{len(els) ** 2} products stay in the group",
+         [(names[a], names[b]) for a in pairs for b in pairs if _product(n, a, b) not in names]),
+        ("identity", "e * g == g * e == g for all elements",
+         [(names[g],) for g in pairs if _product(n, e, g) != g or _product(n, g, e) != g]),
+        ("inverse", "two-sided inverses exist for all elements",
+         [(names[g],) for g, h in zip(pairs, map(_pair, map(inverse, els)))
+          if _product(n, g, h) != e or _product(n, h, g) != e]),
+        ("associativity", f"{mode} over {len(triples)} triples",
+         [(names[a], names[b], names[c]) for a, b, c in triples
+          if _product(n, _product(n, a, b), c) != _product(n, a, _product(n, b, c))]),
+        ("rotation_order", "r^n == e",
+         [] if power(rotation(n), n) == identity(n) else [("r",)]),
+        ("reflection_involution", "(s r^k)^2 == e for all k",
+         [(names[1, k],) for k in range(n) if _product(n, (1, k), (1, k)) != e]),
+        ("reflection_conjugation", "s r^k s == r^(-k) for all k",
+         [("s", names[0, k], "s") for k in range(n)
+          if _product(n, _product(n, (1, 0), (0, k)), (1, 0)) != (0, -k % n)]),
     ]
-    check("associativity", bad, f"{mode} over {len(triples)} triples")
+    checks, violations = [], []
+    for name, detail_ok, witnesses in axioms:
+        violations.extend(AxiomViolation(name, w) for w in witnesses)
+        shown = ";".join("(" + ",".join(w) + ")" for w in witnesses[:3])
+        detail = f"{len(witnesses)} violations, e.g. {shown}" if witnesses else detail_ok
+        checks.append(AxiomCheck(name, not witnesses, detail))
 
-    bad = [] if power(rotation(n), n) == identity(n) else [AxiomViolation("rotation_order", ("r",))]
-    check("rotation_order", bad, "r^n == e")
-
-    bad = [
-        AxiomViolation("reflection_involution", (names[1, k],))
-        for k in range(n)
-        if _product(n, (1, k), (1, k)) != e
-    ]
-    check("reflection_involution", bad, "(s r^k)^2 == e for all k")
-
-    bad = [
-        AxiomViolation("reflection_conjugation", ("s", names[0, k], "s"))
-        for k in range(n)
-        if _product(n, _product(n, (1, 0), (0, k)), (1, 0)) != (0, -k % n)
-    ]
-    check("reflection_conjugation", bad, "s r^k s == r^(-k) for all k")
-
-    return AxiomReport(
-        order_n=n,
-        element_count=distinct,
-        associativity_mode=mode,
-        checks=tuple(checks),
-        violations=tuple(violations),
-    )
+    return AxiomReport(order_n=n, element_count=distinct, associativity_mode=mode,
+                       checks=tuple(checks), violations=tuple(violations))
 
 
 def axiom_report_csv(report: AxiomReport) -> str:

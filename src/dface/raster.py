@@ -289,6 +289,12 @@ _SOBEL_Y = ((-1.0, -2.0, -1.0), (0.0, 0.0, 0.0), (1.0, 2.0, 1.0))
 # pair exactly once by stepping forward along them.
 _FORWARD_STEPS = ((0, 1), (1, 1), (1, 0), (1, -1))
 
+# Gradient magnitudes below this, on the 0-255 scale, are rounding noise and
+# never edges.  A flat image smooths to sums that round differently from
+# pixel to pixel, up to about 6e-14 apart; with the thresholds taken
+# relative to the peak, that noise would otherwise become a full edge map.
+_NOISE_MAGNITUDE = 1e-9
+
 
 # Sobel x and y taps (dy, dx, t) in scan order, zeros left out: a zero tap
 # would add a signed zero to a sum that starts at +0.0 and so is never -0.0,
@@ -413,7 +419,8 @@ def canny_edges(
     ``low`` and ``high`` are fractions of the maximum gradient magnitude.
     Pixels kept by non-maximum suppression at or above ``low`` are weak, at
     or above ``high`` strong; hysteresis keeps the 8-connected weak
-    components that touch a strong pixel.
+    components that touch a strong pixel.  A magnitude below 1e-9 is
+    rounding noise and never weak, so a flat image has no edges.
     When two neighbors along the gradient tie exactly, the earlier pixel in
     scan order survives, so a symmetric step yields a single edge column.
     Output is binary {0, 255} with a one-pixel zero border.
@@ -426,9 +433,9 @@ def canny_edges(
     mag, bins = _gradients(_smooth_float(img.array(), sigma))
     h, w = mag.shape
     peak = float(mag.max())
-    if peak <= 0.0:
+    if peak < _NOISE_MAGNITUDE:
         return RasterImage.from_array(np.zeros((h, w), dtype=np.uint8))
-    weak = mag >= low * peak
+    weak = mag >= max(low * peak, _NOISE_MAGNITUDE)
     strong = mag >= high * peak
 
     # the bins of pixels below the low threshold are read here but never

@@ -64,6 +64,17 @@ def test_cayley_rejects_bad_order(capsys):
 
 
 @pytest.mark.parametrize("command", ["cayley", "verify"])
+@pytest.mark.parametrize("n", ["1_0", "\u0664", "+8", " 8", "-1", "8.0", "",
+                               pytest.param("1" * 5000, id="5000-digits")])
+def test_group_order_is_ascii_decimal_digits(capsys, command, n):
+    # int() used to read "1_0" as 10 and "\u0664" (Arabic-Indic four) as 4
+    code, out, err = run(capsys, command, n)
+    assert (code, out) == (2, "")
+    assert err == f"error[usage]: group order must be decimal digits, got {n!r}\n"
+    assert run(capsys, command, "008")[:2] == run(capsys, command, "8")[:2]
+
+
+@pytest.mark.parametrize("command", ["cayley", "verify"])
 def test_group_order_is_bounded(capsys, command):
     for n in (MAX_ORDER + 1, 100000):
         start = time.perf_counter()
@@ -126,6 +137,45 @@ def test_transform_bad_element(tmp_path, capsys):
     # exponents reduce modulo the order, so r9 is just another name for r
     code, _, err = run(capsys, "transform", "r9", str(src), "-o", str(src) + ".out")
     assert code == 0
+
+
+@pytest.mark.parametrize("element", ["r\u00b2", "r\u0663",
+                                     pytest.param("r" + "1" * 5000, id="r-5000-digits")])
+def test_element_exponent_is_ascii_decimal_digits(tmp_path, capsys, element):
+    # "r\u00b2" let int() raise a bare ValueError out of main()
+    src = tmp_path / "in.pgm"
+    write_pgm(src, [[0]])
+    code, out, err = run(capsys, "transform", element, str(src), "-o", str(tmp_path / "o.pgm"))
+    assert (code, out, err) == (2, "", f"error[usage]: unknown element name {element!r}\n")
+    code, out, err = run(capsys, "augment", str(tmp_path), str(tmp_path / "out"),
+                         "--elements", element)
+    assert (code, out, err) == (2, "", f"error[usage]: unknown element name {element!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
+
+
+@pytest.mark.parametrize("argv, dest", [
+    (["transform", "e", "{img}", "-o", ""], "output"),
+    (["transform", "e", "{img}", "--output="], "output"),
+    (["preprocess", "{img}", "-o", ""], "output"),
+    (["reconstruct", "{frame}", "-o", ""], "output"),
+    (["orbit", "{img}", ""], "outdir"),
+    (["kernels", "{kernel}", ""], "outdir"),
+    (["augment", ".", ""], "outdir"),
+    (["report", "{seq}", ""], "outdir"),
+])
+def test_an_empty_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, dest):
+    # -o "" used to mean no -o, and an empty outdir the current directory
+    paths = {"img": tmp_path / "a.pgm", "frame": tmp_path / "f.csv",
+             "kernel": tmp_path / "k.csv", "seq": tmp_path / "seq"}
+    write_pgm(paths["img"], np.full((8, 8), 9))
+    write_frame(paths["frame"])
+    paths["kernel"].write_text("1,2,1\n", encoding="utf-8")
+    write_golden_sequence(paths["seq"])
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out, err) == (2, "", f"error[usage]: {dest} must name a path, got ''\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_transform_missing_file(tmp_path, capsys):
@@ -221,6 +271,15 @@ def test_preprocess_blank_image_fails(tmp_path, capsys):
     write_pgm(src, np.full((12, 12), 60))
     code, _, err = run(capsys, "preprocess", str(src))
     assert code == 3 and err.startswith("error[domain]:")
+
+
+def test_preprocess_flat_image_fails_at_any_gray_level(tmp_path, capsys):
+    # at 77 and 128 the smoothed sums round apart, which once made edges
+    for value in (1, 77, 128, 254):
+        src = tmp_path / f"flat{value}.pgm"
+        write_pgm(src, np.full((12, 12), value))
+        code, _, err = run(capsys, "preprocess", str(src))
+        assert code == 3 and err.startswith("error[domain]:"), value
 
 
 def test_preprocess_golden_double_smoothing(tmp_path, capsys):
@@ -1056,8 +1115,10 @@ def test_config_accepts_canny_sigma_at_the_cap(tmp_path, capsys):
     assert MAX_SIGMA == 50.0
     cfg = tmp_path / "cap.ini"
     cfg.write_text(f"[canny]\nsigma = {MAX_SIGMA}\n")
-    arr = np.zeros((16, 16))
-    arr[4:12, 4:12] = 255
+    # a half-bright image keeps a real edge at sigma 50; a small square
+    # blurs flat, and only rounding noise was left to find
+    arr = np.zeros((16, 100))
+    arr[:, :50] = 255
     src = tmp_path / "x.pgm"
     write_pgm(src, arr)
     code, out, err = run(capsys, "--config", str(cfg), "preprocess", str(src))

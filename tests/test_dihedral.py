@@ -130,6 +130,17 @@ def test_parse_matrix_labels():
 
 
 @pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("name", ["r\u00b2", "r\u0663", "sr\u0663", "r1_0", "r+1",
+                                  pytest.param("r" + "1" * 5000, id="r-5000-digits")])
+def test_an_exponent_is_ascii_decimal_digits(n, name):
+    # "r\u0663" (Arabic-Indic three) used to parse as r3, and "r\u00b2"
+    # (superscript two) and 5000 digits let int() raise a bare ValueError
+    with pytest.raises(DomainError, match="unknown element name"):
+        parse_element(n, name)
+    assert parse_element(n, "r03") == parse_element(n, " r3 ") == rotation(n, 3)
+
+
+@pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("name", [5, None, b"e", ("e",)])
 def test_parse_element_refuses_a_name_that_is_not_a_str(n, name):
     with pytest.raises(DomainError, match="element name must be a str"):
@@ -295,8 +306,16 @@ def _rotations_subtract(n, a, b):
     return ja ^ jb, (kb - ka) % n
 
 
+def _rotations_unreduced(n, a, b):
+    (ja, ka), (jb, kb) = a, b
+    if jb:
+        return ja ^ 1, kb - ka
+    return ja, ka + kb
+
+
 # axiom_report_csv(verify_group_axioms(n)) of the implementation that composed
-# frozen GroupElements, with its compose patched to the same wrong rule.
+# frozen GroupElements, with its compose patched to the same wrong rule; the
+# _rotations_unreduced report is that of the one-check-call-per-axiom loop.
 WRONG_RULE_REPORTS = {
     (_reflections_add, 5): (
         "check,status,detail\n"
@@ -341,6 +360,17 @@ WRONG_RULE_REPORTS = {
         "rotation_order,pass,r^n == e\n"
         "reflection_involution,pass,(s r^k)^2 == e for all k\n"
         "reflection_conjugation,pass,s r^k s == r^(-k) for all k\n"
+    ),
+    (_rotations_unreduced, 3): (
+        "check,status,detail\n"
+        "element_count,pass,6 distinct elements\n"
+        "closure,fail,12 violations, e.g. (r,r2);(r,s);(r2,r)\n"
+        "identity,pass,e * g == g * e == g for all elements\n"
+        "inverse,fail,2 violations, e.g. (r);(r2)\n"
+        "associativity,pass,exhaustive over 216 triples\n"
+        "rotation_order,pass,r^n == e\n"
+        "reflection_involution,pass,(s r^k)^2 == e for all k\n"
+        "reflection_conjugation,fail,2 violations, e.g. (s,r,s);(s,r2,s)\n"
     ),
 }
 

@@ -562,11 +562,12 @@ def _every_pixel_direction_canny(arr: np.ndarray, low: float, high: float, sigma
         after = mag[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc]
         keep[1 : h - 1, 1 : w - 1] |= (sector == b) & (center > before) & (center >= after)
 
+    # magnitudes under 1e-9 are rounding noise, never edges
     peak = float(mag.max())
-    if peak <= 0.0:
+    if peak < 1e-9:
         return bytes(h * w)
     strong = keep & (mag >= high * peak)
-    weak = keep & (mag >= low * peak)
+    weak = keep & (mag >= max(low * peak, 1e-9))
     edges = _every_weak_pixel_hysteresis(strong, weak)
     edges[0, :] = edges[-1, :] = False
     edges[:, 0] = edges[:, -1] = False
@@ -601,6 +602,7 @@ def _test_image(kind: str, h: int, w: int, channels: int, seed: int) -> np.ndarr
 )
 @example(h=2 * _STRIP_ROWS + 1, w=80, kind="noise", sigma=5.0, thresholds=(0.1, 0.3), seed=0)
 @example(h=_STRIP_ROWS + 1, w=1, kind="disk", sigma=0.5, thresholds=(0.5, 1.0), seed=1)
+@example(h=_STRIP_ROWS - 1, w=3, kind="constant", sigma=0.5, thresholds=(1.0, 0.5), seed=1)
 def test_strip_smoothing_and_candidate_directions_keep_the_bits(
     h, w, kind, sigma, thresholds, seed
 ):
@@ -703,6 +705,7 @@ def _near_tie(arr: np.ndarray, low: float, high: float, sigma: float) -> bool:
 )
 @example(h=40, w=37, levels=2, thresholds=(0.1, 0.3), sigma=1.4, seed=5)
 @example(h=3, w=40, levels=3, thresholds=(0.05, 0.5), sigma=0.5, seed=6)
+@example(h=3, w=3, levels=2, thresholds=(1.0, 0.5), sigma=1.4, seed=1304)
 def test_smoothing_canny_and_crop_commute_with_d4(h, w, levels, thresholds, sigma, seed):
     # tie-heavy images: a few gray levels, so smoothing sums the same
     # products at many pixels
@@ -738,6 +741,23 @@ def test_canny_lets_rounding_decide_a_tie_that_d4_would_keep():
     edges = canny_edges(gray(arr), 0.3, 0.55, 1.0)
     assert np.array_equal(np.argwhere(edges.array()), [[1, 1]])
     assert np.array_equal(np.argwhere(act_on_image(r2, edges).array()), [[2, 1]])
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.4, 2.0])
+def test_canny_finds_no_edges_in_a_flat_image(sigma):
+    # smoothing a flat image rounds its sums apart by an ulp or so; relative
+    # thresholds must not turn that noise into edges
+    for value in range(256):
+        edges = canny_edges(gray(np.full((9, 11), value, dtype=np.uint8)), 0.1, 0.3, sigma)
+        assert not any(edges.samples), value
+
+
+def test_canny_keeps_d4_on_a_mirror_symmetric_stripe():
+    # the center column's gradient is zero in real arithmetic and rounding
+    # noise in floats, and the noise differs between r and e
+    arr = np.tile(np.array([255, 0, 255], dtype=np.uint8), (3, 1))
+    for g in D4:
+        assert canny_edges(act_on_image(g, gray(arr)), 0.5, 1.0) == gray(np.zeros((3, 3)))
 
 
 def test_bounding_rect_simple():
