@@ -16,26 +16,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .dihedral import GroupElement, element_name, elements, matrix_of
-from .errors import DfaceError, RasterShapeError
+from .errors import DfaceError, DomainError, RasterShapeError
 from .face import POINT_COUNT, FaceFrame, counterpart, load_frame, save_frame
 from .raster import RasterImage, read_image, write_image
 from .record import record
 
 if TYPE_CHECKING:
     import numpy as np
-
-__all__ = [
-    "act_on_image",
-    "act_on_keypoints",
-    "transform_kernel",
-    "kernel_bank",
-    "orbit",
-    "augment_dataset",
-    "OrbitEntry",
-    "OrbitManifest",
-    "AugmentSummary",
-    "manifest_csv",
-]
 
 
 def _permute(g: GroupElement, arr: np.ndarray) -> np.ndarray:
@@ -179,7 +166,7 @@ def augment_dataset(
     if wanted is not None:
         unknown = wanted - set(order)
         if unknown:
-            raise DfaceError(f"unknown elements: {','.join(sorted(unknown))}")
+            raise DomainError(f"unknown elements: {','.join(sorted(unknown))}")
     out_dir.mkdir(parents=True, exist_ok=True)
     sources = sorted(
         p for p in in_dir.iterdir() if p.suffix.lower() in (".pgm", ".ppm")

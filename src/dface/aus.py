@@ -35,24 +35,6 @@ from .formatting import fmt, ordered_mean
 from .record import record
 from .symmetry import reconstruct_occluded
 
-__all__ = [
-    "ActivityClass",
-    "Emotion",
-    "Side",
-    "ActionUnit",
-    "EmotionRule",
-    "ActionUnitRuleSet",
-    "AUActivation",
-    "ClassificationResult",
-    "DEFAULT_THRESHOLD",
-    "check_threshold",
-    "check_tie_order",
-    "rule_tables",
-    "detect_active_aus",
-    "classify_emotion",
-    "activations_csv",
-]
-
 
 class ActivityClass(str, Enum):
     ACTIVE = "active"

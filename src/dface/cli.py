@@ -55,8 +55,6 @@ from .symmetry import (
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["main"]
-
 # Largest n that `cayley` and `verify` accept: both do O(n^2) work, about
 # 0.17 s end to end at 256 and over a second in-process at 1024.
 MAX_ORDER = 256
@@ -405,13 +403,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        for dest in ("output", "outdir"):
+        for dest in ("config", "output", "outdir"):
             if getattr(args, dest, None) == "":
                 raise UsageError(f"{dest} must name a path, got ''")
         config = load_config(args.config)
         return args.handler(args, config)
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error[memory]: {exc}", file=sys.stderr)
         return 3
     except DfaceError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

@@ -11,8 +11,6 @@ from .formatting import read_ini, read_text
 from .raster import check_sigma, check_thresholds
 from .record import record
 
-__all__ = ["Config", "load_config", "ENV_VAR", "MAX_SIGMA", "REPORT_FORMATS"]
-
 ENV_VAR = "DFACE_CONFIG"
 
 # Smoothing work per pixel grows with the kernel radius, ceil(3 sigma), so a

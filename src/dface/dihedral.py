@@ -21,28 +21,6 @@ import random
 from .errors import DomainError, UnsupportedOrderError
 from .record import record
 
-__all__ = [
-    "GroupElement",
-    "TransformMatrix",
-    "identity",
-    "rotation",
-    "reflection",
-    "compose",
-    "inverse",
-    "power",
-    "elements",
-    "element_name",
-    "parse_element",
-    "matrix_of",
-    "cayley_table",
-    "cayley_csv",
-    "verify_group_axioms",
-    "AxiomCheck",
-    "AxiomViolation",
-    "AxiomReport",
-    "axiom_report_csv",
-]
-
 
 @record
 class GroupElement:

@@ -33,29 +33,6 @@ from .errors import (
 from .formatting import fmt as _format_float, ordered_mean, read_ini, read_text
 from .record import record
 
-__all__ = [
-    "Region",
-    "Laterality",
-    "PointState",
-    "KeyPoint",
-    "FaceFrame",
-    "FrameSequence",
-    "POINT_COUNT",
-    "CANONICAL_LAYOUT",
-    "LATERAL_PAIRS",
-    "MIDLINE_IDS",
-    "counterpart",
-    "default_state",
-    "build_frame",
-    "interocular_distance",
-    "parse_frame",
-    "serialize_frame",
-    "load_frame",
-    "save_frame",
-    "load_sequence",
-    "save_sequence",
-]
-
 
 class Region(str, Enum):
     EYEBROW = "eyebrow"

@@ -9,8 +9,6 @@ the bytes that command has always printed.
 from collections.abc import Collection
 from pathlib import Path
 
-__all__ = ["fmt", "ordered_mean", "read_ini", "read_text"]
-
 
 def fmt(value: float) -> str:
     """Nine significant digits, shortest form ("%.9g")."""

@@ -10,8 +10,6 @@ from .face import CANONICAL_LAYOUT, MIDLINE_IDS, FaceFrame
 from .formatting import fmt
 from .symmetry import MidlineAxis, reflect_about
 
-__all__ = ["render_overlay"]
-
 _REGION_FILL = {
     "eyebrow": "#2b6cb0",
     "eye": "#2f855a",

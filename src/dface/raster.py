@@ -19,21 +19,6 @@ from .record import record
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "RasterImage",
-    "Rect",
-    "read_image",
-    "write_image",
-    "to_grayscale",
-    "gaussian_smooth",
-    "canny_edges",
-    "bounding_rect",
-    "crop",
-    "pad_to_square",
-    "check_sigma",
-    "check_thresholds",
-]
-
 
 def _check_ints(*geometry) -> None:
     for value in geometry:

@@ -9,8 +9,6 @@ text and runs it, which took a third of the time ``import dface.cli`` takes.
 
 from operator import itemgetter
 
-__all__ = ["record"]
-
 _setattr = object.__setattr__
 
 

@@ -33,18 +33,6 @@ from .face import (
 from .formatting import fmt, ordered_mean
 from .record import record
 
-__all__ = [
-    "MidlineAxis",
-    "AsymmetryReport",
-    "estimate_midline",
-    "reflect_about",
-    "structural_asymmetry",
-    "movement_asymmetry",
-    "reconstruct_occluded",
-    "asymmetry_report",
-    "report_csv",
-]
-
 MIN_PAIRS = 3
 
 _REGION_ORDER = (Region.EYEBROW, Region.EYE, Region.LIP_CORNER, Region.LIP_MIDDLE)

@@ -422,6 +422,7 @@ def test_augment_dataset_unknown_element(tmp_path):
     with pytest.raises(DfaceError) as exc:
         augment_dataset(tmp_path / "in", tmp_path / "out", element_names=["q"])
     assert "unknown elements: q" in str(exc.value)
+    assert exc.value.code == "domain"
 
 
 def test_augment_dataset_empty_dir(tmp_path):

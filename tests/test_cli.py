@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -93,6 +94,18 @@ def test_exit_status_is_set_on_the_error_class():
     assert all(c.exit_status in (2, 3) for c in errors)
 
 
+def test_readme_lists_every_error_code_with_its_exit_status():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (\d) \|", section, re.M))
+    errors = [c for c in vars(dface.errors).values() if isinstance(c, type)
+              and issubclass(c, dface.errors.DfaceError) and c is not dface.errors.DfaceError]
+    assert len(errors) == 14
+    for c in errors:
+        assert rows.get(c.code) == str(c.exit_status), c.__name__
+    assert (rows["io"], rows["memory"], rows["data"]) == ("3", "3", "0")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -162,9 +175,11 @@ def test_element_exponent_is_ascii_decimal_digits(tmp_path, capsys, element):
     (["kernels", "{kernel}", ""], "outdir"),
     (["augment", ".", ""], "outdir"),
     (["report", "{seq}", ""], "outdir"),
+    (["--config", "", "cayley", "2"], "config"),
 ])
 def test_an_empty_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, dest):
-    # -o "" used to mean no -o, and an empty outdir the current directory
+    # -o "" used to mean no -o, an empty outdir the current directory, and
+    # --config "" read the current directory as the config file
     paths = {"img": tmp_path / "a.pgm", "frame": tmp_path / "f.csv",
              "kernel": tmp_path / "k.csv", "seq": tmp_path / "seq"}
     write_pgm(paths["img"], np.full((8, 8), 9))
@@ -176,6 +191,34 @@ def test_an_empty_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch, ar
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert (code, out, err) == (2, "", f"error[usage]: {dest} must name a path, got ''\n")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_an_empty_config_environment_means_no_config_file(capsys, monkeypatch):
+    monkeypatch.setenv("DFACE_CONFIG", "")
+    code, out, err = run(capsys, "cayley", "2")
+    assert (code, err) == (0, "") and out.startswith("e,")
+
+
+def test_out_of_memory_is_a_memory_error(tmp_path):
+    # numpy's allocation failure used to escape main() as a traceback
+    resource = pytest.importorskip("resource")
+    src, dst = tmp_path / "big.pgm", tmp_path / "out.pgm"
+    noise = np.random.default_rng(0).integers(0, 256, (4000, 4000), dtype=np.uint8)
+    write_pgm(src, noise)
+    limit = 250 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(dface.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    env.pop("DFACE_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-m", "dface", "preprocess", str(src), "-o", str(dst)],
+                          env=env, preexec_fn=cap_address_space, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error[memory]:") and "Traceback" not in proc.stderr
+    assert not dst.exists()
 
 
 def test_transform_missing_file(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """The package's public surface: the names `dface` exports and the module
 each one comes from."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import dface
 
@@ -70,3 +72,14 @@ def test_each_public_name_is_its_defining_module_object():
         source = importlib.import_module(f"dface.{module}")
         assert getattr(dface, name) is getattr(source, name), name
         assert getattr(dface, name).__module__ == f"dface.{module}", name
+
+
+def test_only_the_package_declares_all():
+    # a second, per-module export list drifts from the package's one
+    assigners = []
+    for path in sorted(Path(dface.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                assigners.append(path.name)
+    assert set(assigners) == {"__init__.py"}
