@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
+from sys import float_info
 
 from .errors import DomainError
 from .face import (
@@ -163,7 +164,8 @@ DEFAULT_THRESHOLD = 0.05
 
 def check_threshold(threshold: float) -> None:
     """Raise DomainError unless the AU threshold is positive and finite."""
-    if not (isinstance(threshold, (int, float)) and 0 < threshold < math.inf):
+    # an exact comparison, so an int that no float holds is refused too
+    if not (isinstance(threshold, (int, float)) and 0 < threshold <= float_info.max):
         raise DomainError(f"au threshold must be positive and finite, got {threshold}")
 
 

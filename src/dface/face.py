@@ -1,14 +1,16 @@
 """Schema and I/O for the 24-point facial key point layout.
 
-Point ids are fixed by convention:
+Point ids are fixed by convention, one row per region and side; each
+right-side row lists the mirror images of the left-side row above it:
 
-    0-2    left eyebrow, medial to lateral
-    3-5    right eyebrow, medial to lateral
-    6-9    left eye: inner corner, top lid, outer corner, bottom lid
-    10-13  right eye, same order
-    14-16  left mouth corner: apex, upper lip edge, lower lip edge
-    17-19  right mouth corner, same order
-    20-23  lip midline, top to bottom
+    ids    side     region
+    0-2    left     eyebrow: medial to lateral
+    3-5    right    eyebrow, same order
+    6-9    left     eye: inner corner, top lid, outer corner, bottom lid
+    10-13  right    eye, same order
+    14-16  left     lip corner: apex, upper lip edge, lower lip edge
+    17-19  right    lip corner, same order
+    20-23  midline  lip middle: top to bottom
 
 "Left" and "right" name the subject's anatomical sides.  Coordinates are
 raster pixels: x grows rightward, y grows downward.  Each point carries a
@@ -55,60 +57,43 @@ class PointState(str, Enum):
 
 POINT_COUNT = 24
 
-# Named ids for the points the measurement code addresses directly.
-LEFT_BROW_INNER, LEFT_BROW_MID, LEFT_BROW_OUTER = 0, 1, 2
-RIGHT_BROW_INNER, RIGHT_BROW_MID, RIGHT_BROW_OUTER = 3, 4, 5
-LEFT_EYE_INNER, LEFT_EYE_TOP, LEFT_EYE_OUTER, LEFT_EYE_BOTTOM = 6, 7, 8, 9
-RIGHT_EYE_INNER, RIGHT_EYE_TOP, RIGHT_EYE_OUTER, RIGHT_EYE_BOTTOM = 10, 11, 12, 13
-LEFT_LIP_CORNER, LEFT_LIP_UPPER, LEFT_LIP_LOWER = 14, 15, 16
-RIGHT_LIP_CORNER, RIGHT_LIP_UPPER, RIGHT_LIP_LOWER = 17, 18, 19
-LIP_TOP, LIP_UPPER_MID, LIP_LOWER_MID, LIP_BOTTOM = 20, 21, 22, 23
-
-LEFT_EYE_IDS = (6, 7, 8, 9)
-RIGHT_EYE_IDS = (10, 11, 12, 13)
-LEFT_BROW_IDS = (0, 1, 2)
-RIGHT_BROW_IDS = (3, 4, 5)
-
-CANONICAL_LAYOUT: tuple[tuple[Region, Laterality], ...] = (
-    (Region.EYEBROW, Laterality.LEFT),
-    (Region.EYEBROW, Laterality.LEFT),
-    (Region.EYEBROW, Laterality.LEFT),
-    (Region.EYEBROW, Laterality.RIGHT),
-    (Region.EYEBROW, Laterality.RIGHT),
-    (Region.EYEBROW, Laterality.RIGHT),
-    (Region.EYE, Laterality.LEFT),
-    (Region.EYE, Laterality.LEFT),
-    (Region.EYE, Laterality.LEFT),
-    (Region.EYE, Laterality.LEFT),
-    (Region.EYE, Laterality.RIGHT),
-    (Region.EYE, Laterality.RIGHT),
-    (Region.EYE, Laterality.RIGHT),
-    (Region.EYE, Laterality.RIGHT),
-    (Region.LIP_CORNER, Laterality.LEFT),
-    (Region.LIP_CORNER, Laterality.LEFT),
-    (Region.LIP_CORNER, Laterality.LEFT),
-    (Region.LIP_CORNER, Laterality.RIGHT),
-    (Region.LIP_CORNER, Laterality.RIGHT),
-    (Region.LIP_CORNER, Laterality.RIGHT),
-    (Region.LIP_MIDDLE, Laterality.MIDLINE),
-    (Region.LIP_MIDDLE, Laterality.MIDLINE),
-    (Region.LIP_MIDDLE, Laterality.MIDLINE),
-    (Region.LIP_MIDDLE, Laterality.MIDLINE),
-)
-
-# Mirror pairs (left id, right id); midline points are their own mirror.
-LATERAL_PAIRS: tuple[tuple[int, int], ...] = (
-    (0, 3), (1, 4), (2, 5),
-    (6, 10), (7, 11), (8, 12), (9, 13),
-    (14, 17), (15, 18), (16, 19),
-)
-
+# The layout, declared once: for each sided region, its left ids and then
+# its right ids in mirror order, so the i-th right id mirrors the i-th left
+# id.  The lip midline points are their own mirror.
+_SIDES: dict[Region, tuple[tuple[int, ...], tuple[int, ...]]] = {
+    Region.EYEBROW: ((0, 1, 2), (3, 4, 5)),
+    Region.EYE: ((6, 7, 8, 9), (10, 11, 12, 13)),
+    Region.LIP_CORNER: ((14, 15, 16), (17, 18, 19)),
+}
 MIDLINE_IDS: tuple[int, ...] = (20, 21, 22, 23)
 
+LEFT_BROW_IDS, RIGHT_BROW_IDS = _SIDES[Region.EYEBROW]
+LEFT_EYE_IDS, RIGHT_EYE_IDS = _SIDES[Region.EYE]
+
+# Named ids for the points the measurement code addresses directly.
+LEFT_BROW_INNER, LEFT_BROW_MID, LEFT_BROW_OUTER = LEFT_BROW_IDS
+RIGHT_BROW_INNER, RIGHT_BROW_MID, RIGHT_BROW_OUTER = RIGHT_BROW_IDS
+LEFT_EYE_INNER, LEFT_EYE_TOP, LEFT_EYE_OUTER, LEFT_EYE_BOTTOM = LEFT_EYE_IDS
+RIGHT_EYE_INNER, RIGHT_EYE_TOP, RIGHT_EYE_OUTER, RIGHT_EYE_BOTTOM = RIGHT_EYE_IDS
+((LEFT_LIP_CORNER, LEFT_LIP_UPPER, LEFT_LIP_LOWER),
+ (RIGHT_LIP_CORNER, RIGHT_LIP_UPPER, RIGHT_LIP_LOWER)) = _SIDES[Region.LIP_CORNER]
+LIP_TOP, LIP_UPPER_MID, LIP_LOWER_MID, LIP_BOTTOM = MIDLINE_IDS
+
+# Mirror pairs (left id, right id).
+LATERAL_PAIRS: tuple[tuple[int, int], ...] = tuple(
+    pair for left, right in _SIDES.values() for pair in zip(left, right)
+)
+
+_PLACE = dict.fromkeys(MIDLINE_IDS, (Region.LIP_MIDDLE, Laterality.MIDLINE))
 _COUNTERPART = {pid: pid for pid in MIDLINE_IDS}
-for _l, _r in LATERAL_PAIRS:
-    _COUNTERPART[_l] = _r
-    _COUNTERPART[_r] = _l
+for _region, (_left, _right) in _SIDES.items():
+    _PLACE.update(dict.fromkeys(_left, (_region, Laterality.LEFT)))
+    _PLACE.update(dict.fromkeys(_right, (_region, Laterality.RIGHT)))
+    _COUNTERPART.update(zip(_left + _right, _right + _left))
+
+CANONICAL_LAYOUT: tuple[tuple[Region, Laterality], ...] = tuple(
+    _PLACE[pid] for pid in range(POINT_COUNT)
+)
 
 
 def _check_id(point_id: int) -> None:
@@ -322,8 +307,10 @@ def parse_frame(text: str) -> FaceFrame:
             raise FrameParseError(f"expected 7 fields, got {len(fields)}", line=lineno)
         sid, sregion, slat, sstate, sx, sy, sflag = (f.strip() for f in fields)
         try:
+            if not (sid.isascii() and sid.isdigit()):
+                raise ValueError(sid)
             pid = int(sid)
-        except ValueError:
+        except ValueError:  # not digits, or more of them than int() converts
             raise FrameParseError(f"bad point id {sid!r}", line=lineno) from None
         if not 0 <= pid < POINT_COUNT:
             raise FrameParseError(f"point id out of range: {pid}", line=lineno)
@@ -411,7 +398,7 @@ class FrameSequence:
         return interocular_distance(self.frames[0])
 
 
-_FRAME_FILE = re.compile(r"frame_(\d+)\.csv$")
+_FRAME_FILE = re.compile(r"frame_([0-9]+)\.csv$")
 _SEQUENCE_KEYS = (("sequence", "interocular_ref"), ("sequence", "timestamps"))
 
 

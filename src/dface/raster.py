@@ -9,7 +9,7 @@ binary PGM (P5) and PPM (P6) with maxval 255 are supported.
 
 from __future__ import annotations
 
-from math import ceil, isfinite
+from math import ceil
 from sys import float_info
 from typing import TYPE_CHECKING
 
@@ -188,12 +188,15 @@ def to_grayscale(img: RasterImage) -> RasterImage:
 
 def check_sigma(sigma: float) -> None:
     """Raise DomainError unless the Gaussian taps for ``sigma`` are finite:
-    sigma must be positive and finite, with ``2 sigma**2`` a normal float."""
-    if not (isinstance(sigma, (int, float)) and sigma > 0 and isfinite(sigma)
+    sigma must be positive, with ``3 sigma`` (the kernel radius) finite and
+    ``2 sigma**2`` a normal float."""
+    # 3 * sigma is exact for an int and inf for a float past the range, so
+    # no comparison here converts an int too large for a float
+    if not (isinstance(sigma, (int, float)) and sigma > 0 and 3 * sigma <= float_info.max
             and 2.0 * sigma * sigma >= float_info.min):
         raise DomainError(
-            f"sigma must be positive and finite with 2*sigma**2 >= {float_info.min!r}, "
-            f"got {sigma}"
+            f"sigma must be positive and finite with 3*sigma finite and "
+            f"2*sigma**2 >= {float_info.min!r}, got {sigma}"
         )
 
 

@@ -35,7 +35,7 @@ from .record import record
 
 MIN_PAIRS = 3
 
-_REGION_ORDER = (Region.EYEBROW, Region.EYE, Region.LIP_CORNER, Region.LIP_MIDDLE)
+_REGION_ORDER = tuple(Region)
 _PAIR_REGIONS = tuple(CANONICAL_LAYOUT[left][0] for left, _ in LATERAL_PAIRS)
 
 

@@ -1,11 +1,13 @@
 """Key point schema, frame validation, and CSV round-trips."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dface.face
 from conftest import frame_with, rigid_motion, symmetric_coords
 from dface.errors import (
     DegenerateFaceError,
@@ -43,6 +45,82 @@ def test_layout_shape():
     assert MIDLINE_IDS == (20, 21, 22, 23)
     lateral = {pid for pair in LATERAL_PAIRS for pid in pair}
     assert lateral | set(MIDLINE_IDS) == set(range(24))
+
+
+# A reference copy of the layout, written out as literals: dface.face derives
+# all of these from one table of mirrored sides.
+REFERENCE_LAYOUT = (
+    (Region.EYEBROW, Laterality.LEFT),
+    (Region.EYEBROW, Laterality.LEFT),
+    (Region.EYEBROW, Laterality.LEFT),
+    (Region.EYEBROW, Laterality.RIGHT),
+    (Region.EYEBROW, Laterality.RIGHT),
+    (Region.EYEBROW, Laterality.RIGHT),
+    (Region.EYE, Laterality.LEFT),
+    (Region.EYE, Laterality.LEFT),
+    (Region.EYE, Laterality.LEFT),
+    (Region.EYE, Laterality.LEFT),
+    (Region.EYE, Laterality.RIGHT),
+    (Region.EYE, Laterality.RIGHT),
+    (Region.EYE, Laterality.RIGHT),
+    (Region.EYE, Laterality.RIGHT),
+    (Region.LIP_CORNER, Laterality.LEFT),
+    (Region.LIP_CORNER, Laterality.LEFT),
+    (Region.LIP_CORNER, Laterality.LEFT),
+    (Region.LIP_CORNER, Laterality.RIGHT),
+    (Region.LIP_CORNER, Laterality.RIGHT),
+    (Region.LIP_CORNER, Laterality.RIGHT),
+    (Region.LIP_MIDDLE, Laterality.MIDLINE),
+    (Region.LIP_MIDDLE, Laterality.MIDLINE),
+    (Region.LIP_MIDDLE, Laterality.MIDLINE),
+    (Region.LIP_MIDDLE, Laterality.MIDLINE),
+)
+REFERENCE_PAIRS = (
+    (0, 3), (1, 4), (2, 5),
+    (6, 10), (7, 11), (8, 12), (9, 13),
+    (14, 17), (15, 18), (16, 19),
+)
+REFERENCE_IDS = {
+    "POINT_COUNT": 24,
+    "LEFT_BROW_IDS": (0, 1, 2),
+    "RIGHT_BROW_IDS": (3, 4, 5),
+    "LEFT_EYE_IDS": (6, 7, 8, 9),
+    "RIGHT_EYE_IDS": (10, 11, 12, 13),
+    "MIDLINE_IDS": (20, 21, 22, 23),
+    "LEFT_BROW_INNER": 0, "LEFT_BROW_MID": 1, "LEFT_BROW_OUTER": 2,
+    "RIGHT_BROW_INNER": 3, "RIGHT_BROW_MID": 4, "RIGHT_BROW_OUTER": 5,
+    "LEFT_EYE_INNER": 6, "LEFT_EYE_TOP": 7, "LEFT_EYE_OUTER": 8, "LEFT_EYE_BOTTOM": 9,
+    "RIGHT_EYE_INNER": 10, "RIGHT_EYE_TOP": 11, "RIGHT_EYE_OUTER": 12, "RIGHT_EYE_BOTTOM": 13,
+    "LEFT_LIP_CORNER": 14, "LEFT_LIP_UPPER": 15, "LEFT_LIP_LOWER": 16,
+    "RIGHT_LIP_CORNER": 17, "RIGHT_LIP_UPPER": 18, "RIGHT_LIP_LOWER": 19,
+    "LIP_TOP": 20, "LIP_UPPER_MID": 21, "LIP_LOWER_MID": 22, "LIP_BOTTOM": 23,
+}
+
+
+def test_derived_layout_matches_the_reference_copy():
+    assert CANONICAL_LAYOUT == REFERENCE_LAYOUT
+    assert LATERAL_PAIRS == REFERENCE_PAIRS
+    constants = {name: value for name, value in vars(dface.face).items()
+                 if name.isupper() and not name.startswith("_")}
+    assert constants == {**REFERENCE_IDS, "CANONICAL_LAYOUT": REFERENCE_LAYOUT,
+                         "LATERAL_PAIRS": REFERENCE_PAIRS}
+    mirror = {pid: pid for pid in REFERENCE_IDS["MIDLINE_IDS"]}
+    for left, right in REFERENCE_PAIRS:
+        mirror[left], mirror[right] = right, left
+    assert [counterpart(pid) for pid in range(24)] == [mirror[pid] for pid in range(24)]
+
+
+def test_docstring_layout_table_is_the_canonical_layout():
+    # the documented id ranges cover 0..23 once, each one region and side
+    rows = re.findall(r"^    (\d+)-(\d+) +(left|right|midline) +([a-z ]+?)[:,]",
+                      dface.face.__doc__, re.M)
+    covered = []
+    for first, last, side, region in rows:
+        ids = range(int(first), int(last) + 1)
+        covered += ids
+        place = (Region(region.replace(" ", "_")), Laterality(side))
+        assert {CANONICAL_LAYOUT[pid] for pid in ids} == {place}, (first, last)
+    assert sorted(covered) == list(range(POINT_COUNT))
 
 
 def test_counterpart_involution():
@@ -347,6 +425,15 @@ def test_sequence_sorted_by_index(tmp_path, base_frame):
     assert len(seq) == 4
 
 
+def test_sequence_frame_index_is_ascii_digits(tmp_path, base_frame):
+    # frame_٣.csv used to be read as frame 3; now it is ignored, as frame_x.csv is
+    d = tmp_path / "rec"
+    d.mkdir()
+    for name in ("frame_0.csv", "frame_\u0663.csv", "frame_\uff11.csv", "frame_x.csv"):
+        (d / name).write_text(serialize_frame(base_frame))
+    assert len(load_sequence(d)) == 1
+
+
 def test_sequence_error_names_file(tmp_path):
     d = tmp_path / "rec"
     d.mkdir()
@@ -386,6 +473,21 @@ def test_bad_labels_keep_their_parse_error_text(base_frame, row, message):
     with pytest.raises(FrameParseError) as info:
         parse_frame("\n".join(lines) + "\n")
     assert str(info.value) == message
+
+
+def test_point_id_is_ascii_decimal_digits(base_frame):
+    # int() reads each of these as the row's own id, and the first four
+    # used to be accepted; more digits than int() converts stay a bad id
+    lines = serialize_frame(base_frame).splitlines()
+    for pid, sid in [(10, "1_0"), (3, "+3"), (3, "\u0663"), (3, "\uff13"), (3, "-3"),
+                     (3, "9" * 5000)]:
+        bad = lines.copy()
+        bad[pid + 1] = sid + bad[pid + 1][len(str(pid)):]
+        with pytest.raises(FrameParseError) as info:
+            parse_frame("\n".join(bad) + "\n")
+        assert str(info.value) == f"line {pid + 2}: bad point id {sid!r}"
+    lines[4] = "0" + lines[4]
+    assert parse_frame("\n".join(lines) + "\n") == base_frame
 
 
 def test_frame_csv_rounds_coordinates_to_nine_digits():

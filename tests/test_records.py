@@ -250,6 +250,25 @@ def test_config_and_library_refuse_the_same_numbers(bad):
     _refused_alike({"canny_high": bad}, lambda: canny_edges(_GRAY, 0.1, bad), "canny ")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("au_threshold", 10**400),
+    ("canny_sigma", 10**400),
+    ("canny_sigma", 1e308),
+    ("canny_sigma", 10**308),
+], ids=["threshold-int-past-float", "sigma-int-past-float", "sigma-radius-overflows",
+        "sigma-int-radius-overflows"])
+def test_a_scalar_past_the_float_range_is_refused_alike(field, value):
+    # each escaped as a bare OverflowError, from ceil(3 sigma), from the
+    # float conversion of an int or from threshold / 2 in detection, and
+    # Config took the threshold
+    if field == "au_threshold":
+        _refused_alike({field: value}, lambda: detect_active_aus(_FRAME, _FRAME, value))
+    else:
+        _refused_alike({field: value}, lambda: gaussian_smooth(_GRAY, value), "canny ")
+        with pytest.raises(DomainError, match="sigma must be positive and finite"):
+            canny_edges(_GRAY, 0.1, 0.3, value)
+
+
 @pytest.mark.parametrize("tie_order", [
     (),
     tuple(Emotion)[:5],
