@@ -50,9 +50,9 @@ def act_on_keypoints(
     Coordinates are raster (y down); the matrix acts in y-up convention, so
     the vertical component is negated around the pivot.  Reflections swap
     anatomical sides, and the schema keys points by side, so each
-    transformed coordinate is stored under its mirror id: the frame stays
-    canonical and the subject's left data lands in the slot now on the
-    subject's left.
+    transformed coordinate, with its state and reconstructed flag, is stored
+    under its mirror id: the frame stays canonical and the subject's left
+    data lands in the slot now on the subject's left.
     """
     matrix = matrix_of(g)
     cx, cy = center
@@ -64,7 +64,8 @@ def act_on_keypoints(
         if p is not None:
             mx, my = matrix.apply((p[0] - cx, cy - p[1]))
             xy[target] = (cx + mx, cy - my)
-    return FaceFrame(tuple(xy), frame.states, frozenset(ids[pid] for pid in frame.reconstructed))
+    states = tuple(frame.states[pid] for pid in ids)  # ids is its own inverse
+    return FaceFrame(tuple(xy), states, frozenset(ids[pid] for pid in frame.reconstructed))
 
 
 def transform_kernel(g: GroupElement, kernel: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .dihedral import (
 )
 from .errors import DfaceError, DomainError, InsufficientPairsError, SchemaError, UsageError
 from .face import FrameSequence, load_frame, load_sequence, serialize_frame
-from .formatting import fmt, ordered_mean, read_text
+from .formatting import ascii_int, finite, fmt, ordered_mean, read_text
 from .overlay import render_overlay
 from .raster import (
     bounding_rect,
@@ -62,12 +62,9 @@ MAX_ORDER = 256
 
 def _positive_order(raw: str) -> int:
     """``raw`` as ASCII decimal digits naming an order in 1..MAX_ORDER."""
-    try:
-        if not (raw.isascii() and raw.isdigit()):
-            raise ValueError(raw)
-        n = int(raw)
-    except ValueError:  # not digits, or more of them than int() converts
-        raise UsageError(f"group order must be decimal digits, got {raw!r}") from None
+    n = ascii_int(raw)
+    if n is None:
+        raise UsageError(f"group order must be decimal digits, got {raw!r}")
     if not 1 <= n <= MAX_ORDER:
         raise UsageError(f"group order must be in 1..{MAX_ORDER}, got {n}")
     return n
@@ -134,7 +131,7 @@ def _parse_kernel(text: str) -> np.ndarray:
             values = [float(t) for t in tokens]
         except ValueError:
             raise SchemaError(f"line {lineno}: bad kernel value") from None
-        if not all(math.isfinite(v) for v in values):
+        if not finite(*values):
             raise SchemaError(f"line {lineno}: kernel values must be finite")
         rows.append(values)
     if not rows:
@@ -213,7 +210,7 @@ def _finite_numbers(raw: str, count: int, name: str, form: str) -> tuple[float, 
         values = tuple(float(t) for t in parts)
     except ValueError:
         raise UsageError(f"bad {name} {raw!r}") from None
-    if not all(math.isfinite(v) for v in values):
+    if not finite(*values):
         raise UsageError(f"bad {name} {raw!r}")
     return values
 

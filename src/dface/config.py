@@ -5,10 +5,10 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .aus import Emotion, check_threshold, check_tie_order
+from .aus import DEFAULT_THRESHOLD, Emotion, check_threshold, check_tie_order
 from .errors import ConfigError, DomainError
 from .formatting import read_ini, read_text
-from .raster import check_sigma, check_thresholds
+from .raster import DEFAULT_CANNY_SIGMA, check_sigma, check_thresholds
 from .record import record
 
 ENV_VAR = "DFACE_CONFIG"
@@ -23,10 +23,10 @@ REPORT_FORMATS = ("csv", "svg", "both")
 
 @record
 class Config:
-    au_threshold: float = 0.05
+    au_threshold: float = DEFAULT_THRESHOLD
     canny_low: float = 0.1
     canny_high: float = 0.3
-    canny_sigma: float = 1.4
+    canny_sigma: float = DEFAULT_CANNY_SIGMA
     tie_order: tuple[Emotion, ...] = tuple(Emotion)
     report_format: str = "both"
 

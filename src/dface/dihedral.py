@@ -15,10 +15,10 @@ y upward, origin at the region center) and rotations are counterclockwise.
 
 from __future__ import annotations
 
-import contextlib
 import random
 
 from .errors import DomainError, UnsupportedOrderError
+from .formatting import ascii_int
 from .record import record
 
 
@@ -139,10 +139,9 @@ def parse_element(n: int, name: str) -> GroupElement:
         return GroupElement(n, j, 0)
     if text == "r":
         return GroupElement(n, j, 1)
-    digits = text[1:]
-    if text.startswith("r") and digits.isascii() and digits.isdigit():
-        with contextlib.suppress(ValueError):  # more digits than int() converts
-            return GroupElement(n, j, int(digits))
+    k = ascii_int(text[1:]) if text.startswith("r") else None
+    if k is not None:
+        return GroupElement(n, j, k)
     raise DomainError(f"unknown element name {name!r}")
 
 

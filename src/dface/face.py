@@ -32,7 +32,7 @@ from .errors import (
     MissingPointError,
     SchemaError,
 )
-from .formatting import fmt as _format_float, ordered_mean, read_ini, read_text
+from .formatting import ascii_int, finite, fmt as _format_float, ordered_mean, read_ini, read_text
 from .record import record
 
 
@@ -172,14 +172,7 @@ class FaceFrame:
             bad = next(s for s in self.states if type(s) is not PointState)
             raise SchemaError(f"point states must be PointState members, got {bad!r}")
         for p in self.xy:
-            if p is None:
-                continue
-            try:
-                ok = (isinstance(p, tuple) and len(p) == 2
-                      and math.isfinite(p[0]) and math.isfinite(p[1]))
-            except TypeError:  # a coordinate that is not a number
-                ok = False
-            if not ok:
+            if not (p is None or (isinstance(p, tuple) and len(p) == 2 and finite(*p))):
                 raise SchemaError(
                     f"coordinates must be None or an (x, y) pair of finite numbers, got {p!r}"
                 )
@@ -261,6 +254,7 @@ def interocular_distance(frame: FaceFrame) -> float:
 
 
 _HEADER = "id,region,laterality,state,x,y,present"
+_LAYOUT_VALUES = tuple((region.value, side.value) for region, side in CANONICAL_LAYOUT)
 
 
 def serialize_frame(frame: FaceFrame) -> str:
@@ -273,19 +267,16 @@ def serialize_frame(frame: FaceFrame) -> str:
     in-memory score by about 1e-9 of the interocular distance.
     """
     lines = [_HEADER]
-    for p in frame.points:
-        if p.present:
-            flag = "2" if p.reconstructed else "1"
-            xs, ys = _format_float(p.x), _format_float(p.y)
-        else:
+    for pid, (p, state, (region, side)) in enumerate(zip(frame.xy, frame.states, _LAYOUT_VALUES)):
+        if p is None:
             flag, xs, ys = "0", "", ""
-        lines.append(
-            f"{p.point_id},{p.region.value},{p.laterality.value},{p.state.value},{xs},{ys},{flag}"
-        )
+        else:
+            flag = "2" if pid in frame.reconstructed else "1"
+            xs, ys = _format_float(p[0]), _format_float(p[1])
+        lines.append(f"{pid},{region},{side},{state.value},{xs},{ys},{flag}")
     return "\n".join(lines) + "\n"
 
 
-_LAYOUT_VALUES = tuple((region.value, side.value) for region, side in CANONICAL_LAYOUT)
 _STATE_OF = {state.value: state for state in PointState}
 
 
@@ -306,12 +297,9 @@ def parse_frame(text: str) -> FaceFrame:
         if len(fields) != 7:
             raise FrameParseError(f"expected 7 fields, got {len(fields)}", line=lineno)
         sid, sregion, slat, sstate, sx, sy, sflag = (f.strip() for f in fields)
-        try:
-            if not (sid.isascii() and sid.isdigit()):
-                raise ValueError(sid)
-            pid = int(sid)
-        except ValueError:  # not digits, or more of them than int() converts
-            raise FrameParseError(f"bad point id {sid!r}", line=lineno) from None
+        pid = ascii_int(sid)
+        if pid is None:
+            raise FrameParseError(f"bad point id {sid!r}", line=lineno)
         if not 0 <= pid < POINT_COUNT:
             raise FrameParseError(f"point id out of range: {pid}", line=lineno)
         if pid in xy:
@@ -338,7 +326,7 @@ def parse_frame(text: str) -> FaceFrame:
             x, y = float(sx), float(sy)
         except ValueError:
             raise FrameParseError(f"bad coordinates {sx!r},{sy!r}", line=lineno) from None
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if not finite(x, y):
             raise FrameParseError("coordinates must be finite", line=lineno)
         xy[pid] = (x, y)
         if sflag == "2":
@@ -381,12 +369,12 @@ class FrameSequence:
                 raise SchemaError(
                     f"{len(self.timestamps)} timestamps for {len(self.frames)} frames"
                 )
-            if not all(math.isfinite(t) for t in self.timestamps):
+            if not finite(*self.timestamps):
                 raise SchemaError("timestamps must be finite")
             if any(b <= a for a, b in zip(self.timestamps, self.timestamps[1:])):
                 raise SchemaError("timestamps must be strictly increasing")
         ref = self.interocular_ref
-        if ref is not None and not (math.isfinite(ref) and ref > 0):
+        if ref is not None and not (finite(ref) and ref > 0):
             raise SchemaError(f"interocular_ref must be positive and finite, got {ref}")
 
     def __len__(self) -> int:

@@ -1,11 +1,13 @@
 """One float format and one float mean for every text artifact, so reruns
-are byte-identical, and one reader each for text files and INI files.
+are byte-identical; one reader each for text files and INI files; and one
+check each for "a finite number" and "ASCII decimal digits".
 
 The one deliberate exception is ``dface classify``, which prints emotion
 scores with ``%.3f`` (``Happiness,1.000,rank=1``); changing it would change
 the bytes that command has always printed.
 """
 
+import math
 from collections.abc import Collection
 from pathlib import Path
 
@@ -24,6 +26,23 @@ def ordered_mean(values: list[float]) -> float:
     for value in values:
         total += value
     return total / len(values)
+
+
+def finite(*values) -> bool:
+    """True when every value is a number that a float holds and is finite: a
+    non-number, an int past the float range, inf and nan all give False."""
+    try:
+        return all(map(math.isfinite, values))
+    except (TypeError, OverflowError):
+        return False
+
+
+def ascii_int(text: str) -> int | None:
+    """The value of ``text`` if it is ASCII decimal digits, else None."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def read_text(path: str | Path, error: type[Exception], subject: str = "") -> str:

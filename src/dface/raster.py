@@ -10,7 +10,7 @@ binary PGM (P5) and PPM (P6) with maxval 255 are supported.
 from __future__ import annotations
 
 from math import ceil
-from sys import float_info
+from sys import float_info, maxsize
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ImageFormatError, RasterShapeError
@@ -187,15 +187,16 @@ def to_grayscale(img: RasterImage) -> RasterImage:
 
 
 def check_sigma(sigma: float) -> None:
-    """Raise DomainError unless the Gaussian taps for ``sigma`` are finite:
-    sigma must be positive, with ``3 sigma`` (the kernel radius) finite and
-    ``2 sigma**2`` a normal float."""
-    # 3 * sigma is exact for an int and inf for a float past the range, so
-    # no comparison here converts an int too large for a float
-    if not (isinstance(sigma, (int, float)) and sigma > 0 and 3 * sigma <= float_info.max
+    """Raise DomainError unless numpy can size the Gaussian taps for ``sigma``
+    (memory may still run out): sigma must be positive, with ``3 sigma``, the
+    kernel radius, at most ``sys.maxsize // 32`` and ``2 sigma**2`` normal."""
+    # numpy sizes no array past sys.maxsize bytes and rounds an arange's
+    # count as a float, so the taps stay under half that.  3 * sigma is exact
+    # for an int, so no comparison converts an int too large for a float.
+    if not (isinstance(sigma, (int, float)) and sigma > 0 and 3 * sigma <= maxsize // 32
             and 2.0 * sigma * sigma >= float_info.min):
         raise DomainError(
-            f"sigma must be positive and finite with 3*sigma finite and "
+            f"sigma must be positive and finite with 3*sigma <= {maxsize // 32} and "
             f"2*sigma**2 >= {float_info.min!r}, got {sigma}"
         )
 
@@ -277,10 +278,10 @@ _SOBEL_Y = ((-1.0, -2.0, -1.0), (0.0, 0.0, 0.0), (1.0, 2.0, 1.0))
 # pair exactly once by stepping forward along them.
 _FORWARD_STEPS = ((0, 1), (1, 1), (1, 0), (1, -1))
 
-# Gradient magnitudes below this, on the 0-255 scale, are rounding noise and
-# never edges.  A flat image smooths to sums that round differently from
-# pixel to pixel, up to about 6e-14 apart; with the thresholds taken
-# relative to the peak, that noise would otherwise become a full edge map.
+# Gradient magnitudes below this (0-255 scale) are rounding noise, neither
+# weak nor strong.  A flat image smooths to sums that round differently from
+# pixel to pixel, up to about 6e-14 apart; with thresholds relative to the
+# peak, that noise would otherwise become a full edge map.
 _NOISE_MAGNITUDE = 1e-9
 
 
@@ -398,8 +399,11 @@ def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
     return edges[1:-1, 1:-1]
 
 
+DEFAULT_CANNY_SIGMA = 1.4
+
+
 def canny_edges(
-    img: RasterImage, low: float, high: float, sigma: float = 1.4
+    img: RasterImage, low: float, high: float, sigma: float = DEFAULT_CANNY_SIGMA
 ) -> RasterImage:
     """Classic edge pipeline: smooth, Sobel, non-maximum suppression,
     double-threshold hysteresis.
@@ -408,7 +412,7 @@ def canny_edges(
     Pixels kept by non-maximum suppression at or above ``low`` are weak, at
     or above ``high`` strong; hysteresis keeps the 8-connected weak
     components that touch a strong pixel.  A magnitude below 1e-9 is
-    rounding noise and never weak, so a flat image has no edges.
+    rounding noise and neither weak nor strong, so a flat image has no edges.
     When two neighbors along the gradient tie exactly, the earlier pixel in
     scan order survives, so a symmetric step yields a single edge column.
     Output is binary {0, 255} with a one-pixel zero border.
@@ -421,10 +425,8 @@ def canny_edges(
     mag, bins = _gradients(_smooth_float(img.array(), sigma))
     h, w = mag.shape
     peak = float(mag.max())
-    if peak < _NOISE_MAGNITUDE:
-        return RasterImage.from_array(np.zeros((h, w), dtype=np.uint8))
     weak = mag >= max(low * peak, _NOISE_MAGNITUDE)
-    strong = mag >= high * peak
+    strong = mag >= max(high * peak, _NOISE_MAGNITUDE)
 
     # the bins of pixels below the low threshold are read here but never
     # used: they are not weak, and weak &= keep keeps them out

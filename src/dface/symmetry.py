@@ -30,7 +30,7 @@ from .face import (
     counterpart,
     interocular_distance,
 )
-from .formatting import fmt, ordered_mean
+from .formatting import finite, fmt, ordered_mean
 from .record import record
 
 MIN_PAIRS = 3
@@ -55,9 +55,9 @@ class MidlineAxis:
 
     def __post_init__(self):
         for name, pair in (("point", self.point), ("direction", self.direction)):
-            if not (isinstance(pair, tuple) and len(pair) == 2 and _finite(*pair)):
+            if not (isinstance(pair, tuple) and len(pair) == 2 and finite(*pair)):
                 raise SchemaError(f"axis {name} must be a finite (x, y) tuple, got {pair!r}")
-        if not _finite(self.fit_residual):
+        if not finite(self.fit_residual):
             raise SchemaError(f"axis fit_residual must be finite, got {self.fit_residual!r}")
         if not isinstance(self.degenerate, bool):
             raise SchemaError(f"axis degenerate must be a bool, got {self.degenerate!r}")
@@ -73,13 +73,6 @@ class MidlineAxis:
 
     def distance(self, p: tuple[float, float]) -> float:
         return abs(self.offset(p))
-
-
-def _finite(*values) -> bool:
-    try:
-        return all(map(math.isfinite, values))
-    except TypeError:  # a value that is not a number
-        return False
 
 
 def estimate_midline(frame: FaceFrame) -> MidlineAxis:
@@ -121,7 +114,7 @@ def estimate_midline(frame: FaceFrame) -> MidlineAxis:
         perp = centered[:, 0] * dy - centered[:, 1] * dx
         rms = float(np.sqrt(np.mean(perp ** 2)))
     residual = rms / _normalizer(frame)
-    if not all(map(math.isfinite, (dx, dy, residual))):
+    if not finite(dx, dy, residual):
         raise DegenerateFaceError("midline fit overflows: axis or residual is not finite")
     return MidlineAxis(anchor, (dx, dy), residual)
 

@@ -30,7 +30,16 @@ from dface.dihedral import (
 )
 from dface.aus import Side, detect_active_aus
 from dface.errors import DfaceError, RasterShapeError, UnsupportedOrderError
-from dface.face import LATERAL_PAIRS, FrameSequence, build_frame, load_frame, save_frame
+from dface.face import (
+    LATERAL_PAIRS,
+    FaceFrame,
+    FrameSequence,
+    PointState,
+    build_frame,
+    counterpart,
+    load_frame,
+    save_frame,
+)
 from dface.raster import RasterImage, read_image, write_image
 from dface.symmetry import estimate_midline, movement_asymmetry, structural_asymmetry
 
@@ -156,6 +165,16 @@ def test_keypoint_action_keeps_reconstructed_flag(base_frame):
     out = act_on_keypoints(reflection(4), marked, (100.0, 100.0))
     assert out.point(5).reconstructed
     assert not out.point(2).reconstructed
+
+
+def test_keypoint_action_moves_states_with_their_points(base_frame):
+    # a reflection stores point 0's coordinates under its mirror id, 3, and
+    # used to leave point 0's state behind in slot 0
+    frame = FaceFrame(base_frame.xy, (PointState.PASSIVE,) + base_frame.states[1:])
+    for g in D4:
+        out = act_on_keypoints(g, frame, (100.0, 100.0))
+        passive = [pid for pid, state in enumerate(out.states) if state is PointState.PASSIVE]
+        assert passive == [counterpart(0) if g.reflection_j else 0]
 
 
 def test_keypoint_action_composition_law(base_frame):

@@ -23,7 +23,7 @@ from conftest import frame_with, rigid_motion, symmetric_coords, write_golden_se
 from dface.cli import MAX_ORDER, _parse_axis, main
 from dface.config import MAX_SIGMA
 from dface.dihedral import cayley_csv
-from dface.face import build_frame, load_frame, save_frame, serialize_frame
+from dface.face import PointState, build_frame, load_frame, save_frame, serialize_frame
 from dface.formatting import fmt
 from dface.raster import RasterImage, read_image, write_image
 from dface.symmetry import reconstruct_occluded, structural_asymmetry
@@ -231,6 +231,13 @@ def test_transform_corrupt_image(tmp_path, capsys):
     bad.write_bytes(b"P5\n2 2\n255\n\x00")
     code, _, err = run(capsys, "transform", "e", str(bad))
     assert code == 3 and err.startswith("error[image-format]:")
+
+
+def test_transform_zero_width_image(tmp_path, capsys):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\n0 1\n255\n")
+    code, out, err = run(capsys, "transform", "e", str(bad))
+    assert (code, out, err) == (3, "", "error[image-format]: bad dimensions 0x1\n")
 
 
 def test_orbit_writes_files_and_manifest(tmp_path, capsys):
@@ -582,7 +589,7 @@ def test_stdout_without_a_byte_buffer(tmp_path):
     assert (code, out) == (3, "") and err.startswith("error[io]:"), err
 
 
-@pytest.mark.parametrize("axis", ["100,0,nan,1", "inf,0,0,1", "100,-inf,0,1"])
+@pytest.mark.parametrize("axis", ["100,0,nan,1", "inf,0,0,1", "100,-inf,0,1", "x,0,0,1"])
 def test_reconstruct_rejects_non_finite_axis(tmp_path, capsys, axis):
     frame_path = write_frame(tmp_path / "f.csv")
     code, out, err = run(capsys, "reconstruct", str(frame_path), "--axis", axis)
@@ -758,7 +765,21 @@ def test_augment_skips_an_image_whose_keypoints_cannot_move(tmp_path, capsys):
     assert len(manifest) == 9 and all(line.startswith("b,") for line in manifest[1:])
 
 
-@pytest.mark.parametrize("center", ["nan,100", "100,inf"])
+def test_augment_moves_point_states_with_their_points(tmp_path, capsys):
+    # the mirror writes point 0's coordinates in row 3, and row 0 used to
+    # keep point 0's passive state
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_pgm(indir / "a.pgm", np.arange(16).reshape(4, 4))
+    save_frame(indir / "a.csv", build_frame(symmetric_coords(), states={0: PointState.PASSIVE}))
+    code, out, _ = run(capsys, "augment", str(indir), str(tmp_path / "out"), "--elements", "s")
+    assert (code, out) == (0, "processed=1 written=1 errors=0\n")
+    rows = (tmp_path / "out" / "a__s.csv").read_text().splitlines()
+    assert rows[1].startswith("0,eyebrow,left,active,")
+    assert rows[4].startswith("3,eyebrow,right,passive,")
+
+
+@pytest.mark.parametrize("center", ["nan,100", "100,inf", "a,100"])
 def test_augment_rejects_non_finite_center(tmp_path, capsys, center):
     indir = tmp_path / "in"
     indir.mkdir()
@@ -1034,8 +1055,10 @@ def test_config_invalid_value(tmp_path, capsys):
         "[canny]\nsigma = nan\n",
         "[canny]\nsigma = inf\n",
         "[report]\nformat = 5%\n",
+        "[report]\nformat = pdf\n",
     ],
-    ids=["threshold-nan", "threshold-inf", "sigma-nan", "sigma-inf", "bad-interpolation"],
+    ids=["threshold-nan", "threshold-inf", "sigma-nan", "sigma-inf", "bad-interpolation",
+         "unknown-format"],
 )
 def test_config_rejects_non_finite_and_malformed_values(tmp_path, capsys, text):
     cfg = tmp_path / "bad.ini"

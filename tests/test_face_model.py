@@ -168,7 +168,7 @@ def test_frame_rejects_reconstructed_ids_out_of_range(base_frame, ids):
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 140.0), (75.0, math.inf), (-math.inf, 140.0),
-                                 ("75", 140.0), (75.0, None)])
+                                 ("75", 140.0), (75.0, None), (10**400, 140.0), (75.0, "x")])
 def test_frame_rejects_non_finite_coordinates(base_frame, bad):
     # a NaN point used to be accepted and saved as "nan", which parse_frame rejects
     xy = list(base_frame.xy)
@@ -394,6 +394,22 @@ def test_sequence_validation(base_frame):
         FrameSequence((base_frame,), interocular_ref=0.0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"timestamps": (math.nan,)}, "timestamps must be finite"),
+    ({"timestamps": (10**400,)}, "timestamps must be finite"),
+    ({"timestamps": ("a",)}, "timestamps must be finite"),
+    ({"interocular_ref": math.inf}, "interocular_ref must be positive and finite, got inf"),
+    ({"interocular_ref": 10**400}, "interocular_ref must be positive and finite, got 1000"),
+    ({"interocular_ref": "x"}, "interocular_ref must be positive and finite, got x"),
+], ids=["nan-timestamp", "int-past-float-timestamp", "str-timestamp", "inf-ref",
+        "int-past-float-ref", "str-ref"])
+def test_sequence_numbers_must_be_finite(base_frame, fields, message):
+    # an int past the float range used to escape as a bare OverflowError and
+    # a string as a bare TypeError
+    with pytest.raises(SchemaError, match=message):
+        FrameSequence((base_frame,), **fields)
+
+
 def test_sequence_reference_fallback(base_frame):
     seq = FrameSequence((base_frame,))
     assert seq.reference_interocular() == pytest.approx(60.0)
@@ -466,6 +482,7 @@ def test_symmetric_fixture_is_mirrored():
     ("1,nose,up,frozen,70,75,1", "line 3: 'nose' is not a valid Region"),
     ("1,eye,right,frozen,70,75,1", "line 3: 'frozen' is not a valid PointState"),
     ("1,eye,right,active,70,75,1", "line 3: point 1 labelled eye/right, expected eyebrow/left"),
+    ("24,eyebrow,left,active,70,75,1", "line 3: point id out of range: 24"),
 ])
 def test_bad_labels_keep_their_parse_error_text(base_frame, row, message):
     lines = serialize_frame(base_frame).splitlines()

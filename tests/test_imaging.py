@@ -874,6 +874,15 @@ def test_pad_to_square_gives_an_odd_row_to_the_bottom_and_shifts_a_mirror():
     assert np.array_equal(mirrored.array(), np.roll(mirror_of_padded, -1, axis=1))
 
 
+def test_pad_to_square_color():
+    img = RasterImage.from_array(np.full((1, 3, 3), (1, 2, 3), dtype=np.uint8))
+    out, offset = pad_to_square(img, fill=9)
+    assert offset == (0, 1) and out.channels == 3
+    arr = out.array()
+    assert arr.shape == (3, 3, 3) and np.all(arr[[0, 2]] == 9)
+    assert np.array_equal(arr[1], np.full((3, 3), (1, 2, 3)))
+
+
 def test_pad_to_square_noop():
     img = gray(np.zeros((4, 4)))
     out, offset = pad_to_square(img)

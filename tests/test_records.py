@@ -255,12 +255,14 @@ def test_config_and_library_refuse_the_same_numbers(bad):
     ("canny_sigma", 10**400),
     ("canny_sigma", 1e308),
     ("canny_sigma", 10**308),
+    ("canny_sigma", 2**63),
 ], ids=["threshold-int-past-float", "sigma-int-past-float", "sigma-radius-overflows",
-        "sigma-int-radius-overflows"])
+        "sigma-int-radius-overflows", "sigma-taps-past-maxsize"])
 def test_a_scalar_past_the_float_range_is_refused_alike(field, value):
     # each escaped as a bare OverflowError, from ceil(3 sigma), from the
     # float conversion of an int or from threshold / 2 in detection, and
-    # Config took the threshold
+    # Config took the threshold; a sigma of 2**63 escaped as numpy's
+    # ValueError, its taps being too many for numpy to size
     if field == "au_threshold":
         _refused_alike({field: value}, lambda: detect_active_aus(_FRAME, _FRAME, value))
     else:
@@ -323,9 +325,14 @@ def test_sequence_frames_must_be_face_frames(base_frame):
     (((0.0, 0.0), (0.0, 1.0), "0"), "axis fit_residual must be finite"),
     (((0.0, 0.0), (0.0, 1.0), 0.0, 1), "axis degenerate must be a bool"),
     (((0.0, 0.0), (0.0, 1.0), 0.0, None), "axis degenerate must be a bool"),
+    (((10**400, 0.0), (0.0, 1.0), 0.0), "axis point must be a finite"),
+    ((("x", 0.0), (0.0, 1.0), 0.0), "axis point must be a finite"),
+    (((0.0, 0.0), (0.0, 10**400), 0.0), "axis direction must be a finite"),
+    (((0.0, 0.0), (0.0, 1.0), 10**400), "axis fit_residual must be finite"),
 ], ids=["all-str", "str-coordinate", "list-point", "triple-point", "inf-point",
         "nan-direction", "none-direction", "nan-residual", "str-residual", "int-degenerate",
-        "none-degenerate"])
+        "none-degenerate", "int-past-float-point", "x-point", "int-past-float-direction",
+        "int-past-float-residual"])
 def test_midline_axis_fields_are_checked(args, message):
     # "x" for every field used to raise a bare ValueError from unpacking
     with pytest.raises(SchemaError, match=message):

@@ -106,6 +106,17 @@ def test_midline_rejects_a_scatter_below_the_normal_range():
         assert structural_asymmetry(turned(scale), axis) < 1e-14
 
 
+def test_midline_needs_a_normalization_length():
+    # eyes occluded and both points of every other pair at one place: no
+    # interocular distance, and the pair spans average to zero
+    coords = {pid: (float(pid), 10.0 * pid) for pid in range(24)}
+    for left, right in LATERAL_PAIRS:
+        coords[right] = coords[left]
+    frame = build_frame({pid: coords[pid] for pid in range(24) if not 6 <= pid <= 13})
+    with pytest.raises(DegenerateFaceError, match="no usable normalization length"):
+        estimate_midline(frame)
+
+
 def test_midline_degenerate_coincident_midpoints():
     # point symmetry about (100, 100): every pair midpoint collapses there
     coords = dict(symmetric_coords())
