@@ -12,11 +12,12 @@ permutation realizes exactly.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .dihedral import GroupElement, element_name, elements, matrix_of
-from .errors import DfaceError, DomainError, RasterShapeError
+from .errors import DfaceError, RasterShapeError
 from .face import POINT_COUNT, FaceFrame, counterpart, load_frame, save_frame
 from .raster import RasterImage, read_image, write_image
 from .record import record
@@ -148,13 +149,13 @@ def manifest_csv(manifests: list[OrbitManifest]) -> str:
 def augment_dataset(
     in_dir: str | Path,
     out_dir: str | Path,
-    element_names: list[str] | None = None,
+    chosen: Collection[GroupElement] | None = None,
     center: tuple[float, float] | None = None,
     require_square: bool = False,
 ) -> AugmentSummary:
-    """Expand every image in ``in_dir`` into its orbit under the chosen
-    elements (all eight by default), carrying along any key point file that
-    shares the image's stem.
+    """Expand every image in ``in_dir`` into its orbit under the ``chosen``
+    D4 elements (all eight by default), carrying along any key point file
+    that shares the image's stem.
 
     Output naming is ``<stem>__<element>`` with the image's own suffix.
     Unreadable or non-square inputs are recorded in the summary and skipped
@@ -162,16 +163,12 @@ def augment_dataset(
     input name then canonical element order, so reruns are byte-identical.
     """
     in_dir, out_dir = Path(in_dir), Path(out_dir)
-    wanted = set(element_names) if element_names is not None else None
-    order = [element_name(g) for g in elements(4)]
-    if wanted is not None:
-        unknown = wanted - set(order)
-        if unknown:
-            raise DomainError(f"unknown elements: {','.join(sorted(unknown))}")
+    wanted = None if chosen is None else set(chosen)
+    for g in wanted or ():
+        matrix_of(g)  # refuses an element outside D4
+    # listed before out_dir exists, so an unreadable in_dir leaves nothing behind
+    sources = sorted(p for p in in_dir.iterdir() if p.suffix.lower() in (".pgm", ".ppm"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    sources = sorted(
-        p for p in in_dir.iterdir() if p.suffix.lower() in (".pgm", ".ppm")
-    )
     manifests = []
     errors = []
     processed = written = 0
@@ -180,7 +177,7 @@ def augment_dataset(
             img = read_image(src.read_bytes())
             manifest, images = orbit(img, src.stem)
             kept = [(g, entry) for g, entry in zip(elements(4), manifest.entries)
-                    if wanted is None or entry.element in wanted]
+                    if wanted is None or g in wanted]
             kp_path = src.with_suffix(".csv")
             frame = load_frame(kp_path) if kp_path.exists() else None
             pivot = center if center is not None else ((img.width - 1) / 2.0, (img.height - 1) / 2.0)

@@ -32,7 +32,7 @@ from .face import (
     FaceFrame,
     interocular_distance,
 )
-from .formatting import fmt, ordered_mean
+from .formatting import fmt, ordered_mean, shown
 from .record import record
 from .symmetry import reconstruct_occluded
 
@@ -123,18 +123,6 @@ class ActionUnitRuleSet:
                 return rule
         raise DomainError(f"no rule for {emotion}")
 
-    @property
-    def active_numbers(self) -> frozenset[int]:
-        return frozenset(
-            u.number for u in self.action_units if u.activity_class is ActivityClass.ACTIVE
-        )
-
-    @property
-    def passive_numbers(self) -> frozenset[int]:
-        return frozenset(
-            u.number for u in self.action_units if u.activity_class is ActivityClass.PASSIVE
-        )
-
 
 @lru_cache(maxsize=1)
 def rule_tables() -> ActionUnitRuleSet:
@@ -166,7 +154,7 @@ def check_threshold(threshold: float) -> None:
     """Raise DomainError unless the AU threshold is positive and finite."""
     # an exact comparison, so an int that no float holds is refused too
     if not (isinstance(threshold, (int, float)) and 0 < threshold <= float_info.max):
-        raise DomainError(f"au threshold must be positive and finite, got {threshold}")
+        raise DomainError(f"au threshold must be positive and finite, got {shown(threshold, str)}")
 
 
 def detect_active_aus(
@@ -238,7 +226,7 @@ class ClassificationResult:
 def check_tie_order(order: tuple[Emotion, ...]) -> None:
     """Raise DomainError unless ``order`` is a tuple listing each Emotion once."""
     if not (isinstance(order, tuple) and all(isinstance(e, Emotion) for e in order)):
-        raise DomainError(f"tie_order must be a tuple of Emotion members, got {order!r}")
+        raise DomainError(f"tie_order must be a tuple of Emotion members, got {shown(order)}")
     if len(order) != len(Emotion) or set(order) != set(Emotion):
         raise DomainError("tie_order must list each emotion exactly once")
 

@@ -261,19 +261,18 @@ def _cmd_classify(args, config: Config) -> int:
 
 
 def _cmd_augment(args, config: Config) -> int:
-    element_names = None
+    chosen = None
     if args.elements is not None:
         tokens = [t.strip() for t in args.elements.split(",")]
-        # augment_dataset takes canonical names only, so V or r5 becomes s or r
-        element_names = [_element(t).name for t in tokens if t]
-        if not element_names:
+        chosen = [_element(t) for t in tokens if t]
+        if not chosen:
             raise UsageError(f"--elements names no element, got {args.elements!r}")
     center = None
     if args.center is not None:
         center = _finite_numbers(args.center, 2, "center", "'x,y'")
     summary = augment_dataset(
         args.indir, args.outdir,
-        element_names=element_names,
+        chosen=chosen,
         center=center,
         require_square=args.require_square,
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .aus import DEFAULT_THRESHOLD, Emotion, check_threshold, check_tie_order
 from .errors import ConfigError, DomainError
-from .formatting import read_ini, read_text
+from .formatting import read_ini, read_text, shown
 from .raster import DEFAULT_CANNY_SIGMA, check_sigma, check_thresholds
 from .record import record
 
@@ -45,9 +45,8 @@ class Config:
         if self.canny_sigma > MAX_SIGMA:
             raise ConfigError(f"canny sigma must be at most {MAX_SIGMA:g}, got {self.canny_sigma}")
         if self.report_format not in REPORT_FORMATS:
-            raise ConfigError(
-                f"report format must be one of {', '.join(REPORT_FORMATS)}, got {self.report_format!r}"
-            )
+            raise ConfigError(f"report format must be one of {', '.join(REPORT_FORMATS)}, "
+                              f"got {shown(self.report_format)}")
 
 
 def _parse_tie_order(raw: str) -> tuple[Emotion, ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 from .errors import DomainError, UnsupportedOrderError
-from .formatting import ascii_int
+from .formatting import ascii_int, shown
 from .record import record
 
 
@@ -36,11 +36,11 @@ class GroupElement:
 
     def __post_init__(self):
         if not (isinstance(self.order_n, int) and self.order_n >= 1):
-            raise DomainError(f"dihedral order must be an int >= 1, got {self.order_n!r}")
+            raise DomainError(f"dihedral order must be an int >= 1, got {shown(self.order_n)}")
         if not (isinstance(self.reflection_j, int) and self.reflection_j in (0, 1)):
-            raise DomainError(f"reflection exponent must be 0 or 1, got {self.reflection_j!r}")
+            raise DomainError(f"reflection exponent must be 0 or 1, got {shown(self.reflection_j)}")
         if not isinstance(self.rotation_k, int):
-            raise DomainError(f"rotation exponent must be an int, got {self.rotation_k!r}")
+            raise DomainError(f"rotation exponent must be an int, got {shown(self.rotation_k)}")
         object.__setattr__(self, "rotation_k", self.rotation_k % self.order_n)
 
     @property
@@ -86,9 +86,8 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
             f"compose takes two GroupElements, got {type(a).__name__} and {type(b).__name__}"
         )
     if a.order_n != b.order_n:
-        raise DomainError(
-            f"cannot compose elements of different orders: D{a.order_n} and D{b.order_n}"
-        )
+        raise DomainError("cannot compose elements of different orders: "
+                          f"D{shown(a.order_n)} and D{shown(b.order_n)}")
     return GroupElement(a.order_n, *_product(a.order_n, _pair(a), _pair(b)))
 
 
@@ -162,12 +161,6 @@ class TransformMatrix:
         x, y = p
         return (a * x + b * y, c * x + d * y)
 
-    def multiply(self, other: "TransformMatrix") -> tuple[tuple[int, int], tuple[int, int]]:
-        """Raw entries of the matrix product self @ other."""
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
 
 # Rotation k <-> R{k}; reflections follow s=V, sr=D1, sr2=H, sr3=D2, which is
 # forced by s acting as the vertical-axis flip and r as the 90-degree
@@ -189,9 +182,8 @@ _D4_LABEL_TO_JK = {m.label: jk for jk, m in _D4_MATRICES.items()}
 def matrix_of(g: GroupElement) -> TransformMatrix:
     """Faithful matrix representation; defined for the square case only."""
     if g.order_n != 4:
-        raise UnsupportedOrderError(
-            f"matrix representation is defined for D4 only, got D{g.order_n}"
-        )
+        raise UnsupportedOrderError("matrix representation is defined for D4 only, "
+                                    f"got D{shown(g.order_n)}")
     return _D4_MATRICES[(g.reflection_j, g.rotation_k)]
 
 
@@ -281,8 +273,8 @@ def verify_group_axioms(n: int) -> AxiomReport:
     checks, violations = [], []
     for name, detail_ok, witnesses in axioms:
         violations.extend(AxiomViolation(name, w) for w in witnesses)
-        shown = ";".join("(" + ",".join(w) + ")" for w in witnesses[:3])
-        detail = f"{len(witnesses)} violations, e.g. {shown}" if witnesses else detail_ok
+        some = ";".join("(" + ",".join(w) + ")" for w in witnesses[:3])
+        detail = f"{len(witnesses)} violations, e.g. {some}" if witnesses else detail_ok
         checks.append(AxiomCheck(name, not witnesses, detail))
 
     return AxiomReport(order_n=n, element_count=distinct, associativity_mode=mode,

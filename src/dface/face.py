@@ -32,7 +32,7 @@ from .errors import (
     MissingPointError,
     SchemaError,
 )
-from .formatting import ascii_int, finite, fmt as _format_float, ordered_mean, read_ini, read_text
+from .formatting import ascii_int, finite, fmt, ordered_mean, read_ini, read_text, shown
 from .record import record
 
 
@@ -98,7 +98,12 @@ CANONICAL_LAYOUT: tuple[tuple[Region, Laterality], ...] = tuple(
 
 def _check_id(point_id: int) -> None:
     if not (isinstance(point_id, int) and 0 <= point_id < POINT_COUNT):
-        raise SchemaError(f"point id out of range: {point_id}")
+        raise SchemaError(f"point id out of range: {shown(point_id, str)}")
+
+
+def _check_type(record: str, name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise SchemaError(f"{record} {name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def counterpart(point_id: int) -> int:
@@ -155,9 +160,10 @@ class FaceFrame:
     ``states`` holds the motion states; ``reconstructed`` is the set of ids
     whose coordinates were filled in by mirroring.  Region and laterality
     live only in ``CANONICAL_LAYOUT``; ``point`` and ``points`` give the
-    per-point ``KeyPoint`` view.  Raises SchemaError unless each ``xy``
-    entry is None or a finite ``(x, y)`` tuple, each state is a
-    ``PointState`` and each reconstructed id is in 0..23 and has coordinates.
+    per-point ``KeyPoint`` view.  Raises SchemaError unless ``xy`` and
+    ``states`` are tuples, each ``xy`` entry is None or a finite ``(x, y)``
+    tuple, each state is a ``PointState``, and ``reconstructed`` is a
+    frozenset of ids in 0..23 that have coordinates.
     """
 
     xy: tuple[tuple[float, float] | None, ...]
@@ -165,20 +171,22 @@ class FaceFrame:
     reconstructed: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        for values in (self.xy, self.states):
+        for name, values in (("xy", self.xy), ("states", self.states)):
+            _check_type("frame", name, values, tuple)
             if len(values) != POINT_COUNT:
                 raise SchemaError(f"a frame needs {POINT_COUNT} points, got {len(values)}")
         if set(map(type, self.states)) != {PointState}:
             bad = next(s for s in self.states if type(s) is not PointState)
-            raise SchemaError(f"point states must be PointState members, got {bad!r}")
+            raise SchemaError(f"point states must be PointState members, got {shown(bad)}")
         for p in self.xy:
             if not (p is None or (isinstance(p, tuple) and len(p) == 2 and finite(*p))):
                 raise SchemaError(
-                    f"coordinates must be None or an (x, y) pair of finite numbers, got {p!r}"
+                    f"coordinates must be None or an (x, y) pair of finite numbers, got {shown(p)}"
                 )
+        _check_type("frame", "reconstructed", self.reconstructed, frozenset)
         if not self.reconstructed <= _IDS:
-            bad = sorted(self.reconstructed - _IDS, key=repr)
-            raise SchemaError(f"reconstructed point ids out of range: {bad}")
+            bad = sorted(self.reconstructed - _IDS, key=shown)
+            raise SchemaError(f"reconstructed point ids out of range: {shown(bad)}")
         occluded = sorted(pid for pid in self.reconstructed if self.xy[pid] is None)
         if occluded:
             raise SchemaError(f"reconstructed points have no coordinates: {occluded}")
@@ -272,7 +280,7 @@ def serialize_frame(frame: FaceFrame) -> str:
             flag, xs, ys = "0", "", ""
         else:
             flag = "2" if pid in frame.reconstructed else "1"
-            xs, ys = _format_float(p[0]), _format_float(p[1])
+            xs, ys = fmt(p[0]), fmt(p[1])
         lines.append(f"{pid},{region},{side},{state.value},{xs},{ys},{flag}")
     return "\n".join(lines) + "\n"
 
@@ -360,11 +368,13 @@ class FrameSequence:
     interocular_ref: float | None = None
 
     def __post_init__(self):
+        _check_type("sequence", "frames", self.frames, tuple)
         if not self.frames:
             raise SchemaError("a sequence needs at least one frame")
         if not all(isinstance(f, FaceFrame) for f in self.frames):
             raise SchemaError("every frame of a sequence must be a FaceFrame")
         if self.timestamps is not None:
+            _check_type("sequence", "timestamps", self.timestamps, tuple)
             if len(self.timestamps) != len(self.frames):
                 raise SchemaError(
                     f"{len(self.timestamps)} timestamps for {len(self.frames)} frames"
@@ -375,7 +385,7 @@ class FrameSequence:
                 raise SchemaError("timestamps must be strictly increasing")
         ref = self.interocular_ref
         if ref is not None and not (finite(ref) and ref > 0):
-            raise SchemaError(f"interocular_ref must be positive and finite, got {ref}")
+            raise SchemaError(f"interocular_ref must be positive and finite, got {shown(ref, str)}")
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -433,17 +443,3 @@ def load_sequence(directory: str | Path) -> FrameSequence:
             raw = values["sequence", "timestamps"]
             timestamps = tuple(_ini_number(t, "timestamps") for t in raw.split(",") if t.strip())
     return FrameSequence(tuple(frames), timestamps=timestamps, interocular_ref=ref)
-
-
-def save_sequence(directory: str | Path, seq: FrameSequence) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, frame in enumerate(seq.frames):
-        save_frame(directory / f"frame_{i}.csv", frame)
-    if seq.timestamps is not None or seq.interocular_ref is not None:
-        lines = ["[sequence]"]
-        if seq.interocular_ref is not None:
-            lines.append(f"interocular_ref = {_format_float(seq.interocular_ref)}")
-        if seq.timestamps is not None:
-            lines.append("timestamps = " + ",".join(_format_float(t) for t in seq.timestamps))
-        (directory / "sequence.ini").write_text("\n".join(lines) + "\n", encoding="utf-8")

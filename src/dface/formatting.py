@@ -1,6 +1,7 @@
 """One float format and one float mean for every text artifact, so reruns
-are byte-identical; one reader each for text files and INI files; and one
-check each for "a finite number" and "ASCII decimal digits".
+are byte-identical; one reader each for text files and INI files; one
+check each for "a finite number" and "ASCII decimal digits"; and one way
+to show a refused value in an error message.
 
 The one deliberate exception is ``dface classify``, which prints emotion
 scores with ``%.3f`` (``Happiness,1.000,rank=1``); changing it would change
@@ -35,6 +36,17 @@ def finite(*values) -> bool:
         return all(map(math.isfinite, values))
     except (TypeError, OverflowError):
         return False
+
+
+def shown(value, text=repr) -> str:
+    """``text(value)`` for an error message.  Python refuses to print an int
+    of more than 4,300 digits; such an int is named by its bit length."""
+    try:
+        return text(value)
+    except ValueError:  # the digit limit, for the value or an int inside it
+        if isinstance(value, int):
+            return f"<{'negative ' * (value < 0)}int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} holding an int too long to print>"
 
 
 def ascii_int(text: str) -> int | None:

@@ -14,6 +14,7 @@ from sys import float_info, maxsize
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ImageFormatError, RasterShapeError
+from .formatting import shown
 from .record import record
 
 if TYPE_CHECKING:
@@ -23,7 +24,7 @@ if TYPE_CHECKING:
 def _check_ints(*geometry) -> None:
     for value in geometry:
         if not isinstance(value, int):
-            raise RasterShapeError(f"geometry must be an int, got {value!r}")
+            raise RasterShapeError(f"geometry must be an int, got {shown(value)}")
 
 
 @record
@@ -41,14 +42,13 @@ class RasterImage:
             raise RasterShapeError(f"samples must be bytes, got {type(self.samples).__name__}")
         _check_ints(self.width, self.height, self.channels)
         if self.width < 1 or self.height < 1:
-            raise RasterShapeError(f"bad dimensions {self.width}x{self.height}")
+            raise RasterShapeError(f"bad dimensions {shown(self.width)}x{shown(self.height)}")
         if self.channels not in (1, 3):
-            raise RasterShapeError(f"channels must be 1 or 3, got {self.channels}")
+            raise RasterShapeError(f"channels must be 1 or 3, got {shown(self.channels)}")
         expect = self.width * self.height * self.channels
         if len(self.samples) != expect:
-            raise RasterShapeError(
-                f"payload holds {len(self.samples)} bytes, geometry needs {expect}"
-            )
+            raise RasterShapeError(f"payload holds {len(self.samples)} bytes, "
+                                   f"geometry needs {shown(expect)}")
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "RasterImage":
@@ -94,9 +94,7 @@ class Rect:
     def __post_init__(self):
         _check_ints(self.x0, self.y0, self.x1, self.y1)
         if self.x0 >= self.x1 or self.y0 >= self.y1:
-            raise RasterShapeError(
-                f"degenerate rectangle ({self.x0},{self.y0},{self.x1},{self.y1})"
-            )
+            raise RasterShapeError(f"degenerate rectangle ({self.csv()})")
 
     @property
     def width(self) -> int:
@@ -107,7 +105,7 @@ class Rect:
         return self.y1 - self.y0
 
     def csv(self) -> str:
-        return f"{self.x0},{self.y0},{self.x1},{self.y1}"
+        return ",".join(map(shown, (self.x0, self.y0, self.x1, self.y1)))
 
 
 _WHITESPACE = b" \t\r\n\v\f"
@@ -197,7 +195,7 @@ def check_sigma(sigma: float) -> None:
             and 2.0 * sigma * sigma >= float_info.min):
         raise DomainError(
             f"sigma must be positive and finite with 3*sigma <= {maxsize // 32} and "
-            f"2*sigma**2 >= {float_info.min!r}, got {sigma}"
+            f"2*sigma**2 >= {float_info.min!r}, got {shown(sigma, str)}"
         )
 
 
@@ -205,7 +203,8 @@ def check_thresholds(low: float, high: float) -> None:
     """Raise DomainError unless ``low`` and ``high`` are valid Canny thresholds."""
     if not (isinstance(low, (int, float)) and isinstance(high, (int, float))
             and 0.0 < low < high and high <= 1.0):
-        raise DomainError(f"thresholds must satisfy 0 < low < high <= 1, got {low}, {high}")
+        raise DomainError("thresholds must satisfy 0 < low < high <= 1, "
+                          f"got {shown(low, str)}, {shown(high, str)}")
 
 
 def _gaussian_taps(sigma: float) -> np.ndarray:
@@ -468,14 +467,10 @@ def crop(img: RasterImage, r: Rect) -> RasterImage:
     return RasterImage.from_array(np.ascontiguousarray(arr[r.y0 : r.y1, r.x0 : r.x1]))
 
 
-def pad_to_square(
-    img: RasterImage, fill: int = 0
-) -> tuple[RasterImage, tuple[int, int]]:
-    """Center the image on a max(w, h) square canvas; returns the padded
-    image and the (left, top) offset for remapping key points."""
+def pad_to_square(img: RasterImage) -> tuple[RasterImage, tuple[int, int]]:
+    """Center the image on a max(w, h) square canvas of zeros; returns the
+    padded image and the (left, top) offset for remapping key points."""
     import numpy as np
-    if not (isinstance(fill, int) and 0 <= fill <= 255):
-        raise DomainError(f"fill sample must be an int in [0, 255], got {fill!r}")
     side = max(img.width, img.height)
     pad_x, pad_y = side - img.width, side - img.height
     left, top = pad_x // 2, pad_y // 2
@@ -485,5 +480,5 @@ def pad_to_square(
     widths = ((top, pad_y - top), (left, pad_x - left))
     if img.channels == 3:
         widths = widths + ((0, 0),)
-    padded = np.pad(arr, widths, mode="constant", constant_values=fill)
+    padded = np.pad(arr, widths)
     return RasterImage.from_array(padded), (left, top)

@@ -30,7 +30,7 @@ from .face import (
     counterpart,
     interocular_distance,
 )
-from .formatting import finite, fmt, ordered_mean
+from .formatting import finite, fmt, ordered_mean, shown
 from .record import record
 
 MIN_PAIRS = 3
@@ -56,11 +56,11 @@ class MidlineAxis:
     def __post_init__(self):
         for name, pair in (("point", self.point), ("direction", self.direction)):
             if not (isinstance(pair, tuple) and len(pair) == 2 and finite(*pair)):
-                raise SchemaError(f"axis {name} must be a finite (x, y) tuple, got {pair!r}")
+                raise SchemaError(f"axis {name} must be a finite (x, y) tuple, got {shown(pair)}")
         if not finite(self.fit_residual):
-            raise SchemaError(f"axis fit_residual must be finite, got {self.fit_residual!r}")
+            raise SchemaError(f"axis fit_residual must be finite, got {shown(self.fit_residual)}")
         if not isinstance(self.degenerate, bool):
-            raise SchemaError(f"axis degenerate must be a bool, got {self.degenerate!r}")
+            raise SchemaError(f"axis degenerate must be a bool, got {shown(self.degenerate)}")
         dx, dy = self.direction
         if abs(math.hypot(dx, dy) - 1.0) > 1e-12:
             raise SchemaError("axis direction must be a unit vector")

@@ -429,7 +429,7 @@ def test_augment_dataset_element_subset(tmp_path, base_frame):
     src, out = tmp_path / "in", tmp_path / "out"
     src.mkdir()
     _write_dataset(src, base_frame)
-    summary = augment_dataset(src, out, element_names=["r2", "e"])
+    summary = augment_dataset(src, out, [rotation(4, 2), identity(4), rotation(4, 2)])
     assert summary.written == 2
     assert sorted(p.name for p in out.glob("*.pgm")) == ["face__e.pgm", "face__r2.pgm"]
     lines = (out / "manifest.csv").read_text().splitlines()
@@ -437,11 +437,15 @@ def test_augment_dataset_element_subset(tmp_path, base_frame):
 
 
 def test_augment_dataset_unknown_element(tmp_path):
-    (tmp_path / "in").mkdir()
+    # parse_element is the one check of an element's name; augment_dataset
+    # takes elements and refuses one outside D4 before it writes anything
     with pytest.raises(DfaceError) as exc:
-        augment_dataset(tmp_path / "in", tmp_path / "out", element_names=["q"])
-    assert "unknown elements: q" in str(exc.value)
-    assert exc.value.code == "domain"
+        parse_element(4, "q")
+    assert str(exc.value) == "unknown element name 'q'" and exc.value.code == "domain"
+    (tmp_path / "in").mkdir()
+    with pytest.raises(UnsupportedOrderError, match="defined for D4 only, got D5"):
+        augment_dataset(tmp_path / "in", tmp_path / "out", [identity(4), rotation(5)])
+    assert not (tmp_path / "out").exists()
 
 
 def test_augment_dataset_empty_dir(tmp_path):

@@ -720,6 +720,16 @@ def test_augment_unknown_element(tmp_path, capsys):
     assert code == 2 and err.startswith("error[usage]:")
 
 
+@pytest.mark.parametrize("make", [lambda p: None, lambda p: p.write_bytes(b"")],
+                         ids=["missing", "file"])
+def test_augment_of_an_unreadable_input_writes_nothing(tmp_path, capsys, make):
+    # the output directory used to be made before the input was listed
+    make(tmp_path / "in")
+    code, out, err = run(capsys, "augment", str(tmp_path / "in"), str(tmp_path / "out"))
+    assert (code, out) == (3, "") and err.startswith("error[io]: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("elements", [",", "", " , "])
 def test_augment_elements_must_name_an_element(tmp_path, capsys, elements):
     # "--elements ," used to write an empty manifest and report written=0

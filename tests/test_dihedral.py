@@ -164,8 +164,8 @@ def test_matrix_only_for_order_four():
 def test_matrix_homomorphism_all_pairs():
     for a in elements(4):
         for b in elements(4):
-            product = matrix_of(a).multiply(matrix_of(b))
-            assert product == matrix_of(compose(a, b)).entries
+            product = np.array(matrix_of(a).entries) @ np.array(matrix_of(b).entries)
+            assert np.array_equal(product, matrix_of(compose(a, b)).entries)
 
 
 def test_matrices_distinct_orthogonal_det_parity():

@@ -32,7 +32,7 @@ from dface.face import (
     interocular_distance,
     load_sequence,
     parse_frame,
-    save_sequence,
+    save_frame,
     serialize_frame,
 )
 from dface.symmetry import structural_asymmetry
@@ -160,7 +160,7 @@ def test_frame_rejects_malformed_coordinates(xy):
         FaceFrame(xy)
 
 
-@pytest.mark.parametrize("ids", [{99}, {24}, {-1}, {0, 23, 24}])
+@pytest.mark.parametrize("ids", [{99}, {24}, {-1}, {0, 23, 24}, {10**5000}])
 def test_frame_rejects_reconstructed_ids_out_of_range(base_frame, ids):
     with pytest.raises(SchemaError, match="reconstructed point ids out of range"):
         FaceFrame(base_frame.xy, base_frame.states, frozenset(ids))
@@ -168,13 +168,32 @@ def test_frame_rejects_reconstructed_ids_out_of_range(base_frame, ids):
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 140.0), (75.0, math.inf), (-math.inf, 140.0),
-                                 ("75", 140.0), (75.0, None), (10**400, 140.0), (75.0, "x")])
+                                 ("75", 140.0), (75.0, None), (10**400, 140.0), (75.0, "x"),
+                                 (10**5000, 140.0)])
 def test_frame_rejects_non_finite_coordinates(base_frame, bad):
     # a NaN point used to be accepted and saved as "nan", which parse_frame rejects
     xy = list(base_frame.xy)
     xy[14] = bad
     with pytest.raises(SchemaError, match="pair of finite numbers"):
         FaceFrame(tuple(xy), base_frame.states)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("xy", list, "frame xy must be a tuple, got list"),
+    ("xy", lambda xy: 5, "frame xy must be a tuple, got int"),
+    ("states", list, "frame states must be a tuple, got list"),
+    ("reconstructed", set, "frame reconstructed must be a frozenset, got set"),
+    ("reconstructed", list, "frame reconstructed must be a frozenset, got list"),
+    ("reconstructed", tuple, "frame reconstructed must be a frozenset, got tuple"),
+], ids=["list-xy", "int-xy", "list-states", "set-reconstructed", "list-reconstructed",
+        "tuple-reconstructed"])
+def test_frame_containers_are_tuples_and_a_frozenset(base_frame, field, value, message):
+    # a list or a set used to be accepted, and hash() of the frame then raised
+    # TypeError; a list of reconstructed ids escaped as a bare TypeError
+    fields = {"xy": base_frame.xy, "states": base_frame.states, "reconstructed": frozenset({3})}
+    fields[field] = value(fields[field])
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        FaceFrame(**fields)
 
 
 def test_frame_rejects_a_reconstructed_id_without_coordinates(base_frame):
@@ -401,11 +420,17 @@ def test_sequence_validation(base_frame):
     ({"interocular_ref": math.inf}, "interocular_ref must be positive and finite, got inf"),
     ({"interocular_ref": 10**400}, "interocular_ref must be positive and finite, got 1000"),
     ({"interocular_ref": "x"}, "interocular_ref must be positive and finite, got x"),
+    ({"timestamps": [0.0]}, "sequence timestamps must be a tuple, got list"),
+    ({"timestamps": 5}, "sequence timestamps must be a tuple, got int"),
+    ({"interocular_ref": -10**5000},
+     "interocular_ref must be positive and finite, got <negative int of 16610 bits>"),
 ], ids=["nan-timestamp", "int-past-float-timestamp", "str-timestamp", "inf-ref",
-        "int-past-float-ref", "str-ref"])
+        "int-past-float-ref", "str-ref", "list-timestamps", "int-timestamps",
+        "int-too-long-to-print-ref"])
 def test_sequence_numbers_must_be_finite(base_frame, fields, message):
-    # an int past the float range used to escape as a bare OverflowError and
-    # a string as a bare TypeError
+    # an int past the float range used to escape as a bare OverflowError, a
+    # string or an int as timestamps as a bare TypeError, and an int too long
+    # to print as a ValueError; a list of timestamps was accepted
     with pytest.raises(SchemaError, match=message):
         FrameSequence((base_frame,), **fields)
 
@@ -423,7 +448,12 @@ def test_sequence_directory_round_trip(tmp_path, base_coords):
         frame_with(base_coords, **{"14": (74.0, 139.0)}),
     )
     seq = FrameSequence(frames, timestamps=(0.0, 0.04), interocular_ref=60.0)
-    save_sequence(tmp_path / "rec", seq)
+    (tmp_path / "rec").mkdir()
+    for i, frame in enumerate(frames):
+        save_frame(tmp_path / "rec" / f"frame_{i}.csv", frame)
+    (tmp_path / "rec" / "sequence.ini").write_text(
+        "[sequence]\ninterocular_ref = 60\ntimestamps = 0,0.04\n"
+    )
     back = load_sequence(tmp_path / "rec")
     assert back == seq
     assert (tmp_path / "rec" / "frame_0.csv").exists()

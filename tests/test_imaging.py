@@ -838,24 +838,24 @@ def test_rect_validation_and_csv():
 
 
 def test_pad_to_square_wide():
-    img = gray(np.ones((3, 5)))
-    out, (left, top) = pad_to_square(img, fill=9)
+    img = gray(np.full((3, 5), 7))
+    out, (left, top) = pad_to_square(img)
     assert (out.width, out.height) == (5, 5)
     assert (left, top) == (0, 1)
     arr = out.array()
-    assert np.all(arr[0] == 9) and np.all(arr[4] == 9)
-    assert np.array_equal(arr[1:4], np.ones((3, 5), dtype=np.uint8))
+    assert np.all(arr[0] == 0) and np.all(arr[4] == 0)
+    assert np.array_equal(arr[1:4], np.full((3, 5), 7, dtype=np.uint8))
 
 
 def test_pad_to_square_tall_odd_split():
-    img = gray(np.zeros((5, 2)))
-    out, (left, top) = pad_to_square(img, fill=1)
+    img = gray(np.full((5, 2), 7))
+    out, (left, top) = pad_to_square(img)
     assert out.is_square and out.width == 5
     # 3 columns of padding: 1 left, 2 right
     assert (left, top) == (1, 0)
     arr = out.array()
-    assert np.all(arr[:, 0] == 1) and np.all(arr[:, 3:] == 1)
-    assert np.all(arr[:, 1:3] == 0)
+    assert np.all(arr[:, 0] == 0) and np.all(arr[:, 3:] == 0)
+    assert np.all(arr[:, 1:3] == 7)
 
 
 def test_pad_to_square_gives_an_odd_row_to_the_bottom_and_shifts_a_mirror():
@@ -876,10 +876,10 @@ def test_pad_to_square_gives_an_odd_row_to_the_bottom_and_shifts_a_mirror():
 
 def test_pad_to_square_color():
     img = RasterImage.from_array(np.full((1, 3, 3), (1, 2, 3), dtype=np.uint8))
-    out, offset = pad_to_square(img, fill=9)
+    out, offset = pad_to_square(img)
     assert offset == (0, 1) and out.channels == 3
     arr = out.array()
-    assert arr.shape == (3, 3, 3) and np.all(arr[[0, 2]] == 9)
+    assert arr.shape == (3, 3, 3) and np.all(arr[[0, 2]] == 0)
     assert np.array_equal(arr[1], np.full((3, 3), (1, 2, 3)))
 
 
@@ -887,9 +887,3 @@ def test_pad_to_square_noop():
     img = gray(np.zeros((4, 4)))
     out, offset = pad_to_square(img)
     assert out is img and offset == (0, 0)
-
-
-def test_pad_to_square_bad_fill():
-    for fill in (256, -1, 1.5, "9"):
-        with pytest.raises(DomainError):
-            pad_to_square(gray(np.zeros((2, 3))), fill=fill)

@@ -3,9 +3,12 @@ equality and hashing by the field tuple, repr, immutability, copying and
 pickling, and the checks each class runs on construction."""
 
 import copy
+import math
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dface.augment import AugmentSummary, OrbitEntry, OrbitManifest
 from dface.aus import (
@@ -17,6 +20,7 @@ from dface.aus import (
     Emotion,
     EmotionRule,
     Side,
+    check_threshold,
     classify_emotion,
     detect_active_aus,
 )
@@ -27,10 +31,18 @@ from dface.dihedral import (
     AxiomViolation,
     GroupElement,
     TransformMatrix,
+    parse_element,
 )
-from dface.errors import ConfigError, DomainError, RasterShapeError, SchemaError
-from dface.face import FaceFrame, FrameSequence, KeyPoint, PointState, Region
-from dface.raster import RasterImage, Rect, canny_edges, gaussian_smooth
+from dface.errors import ConfigError, DfaceError, DomainError, RasterShapeError, SchemaError
+from dface.face import FaceFrame, FrameSequence, KeyPoint, PointState, Region, counterpart
+from dface.raster import (
+    RasterImage,
+    Rect,
+    canny_edges,
+    check_sigma,
+    check_thresholds,
+    gaussian_smooth,
+)
 from dface.symmetry import AsymmetryReport, MidlineAxis
 
 _XY = tuple((float(i), float(2 * i)) for i in range(24))
@@ -256,13 +268,19 @@ def test_config_and_library_refuse_the_same_numbers(bad):
     ("canny_sigma", 1e308),
     ("canny_sigma", 10**308),
     ("canny_sigma", 2**63),
+    ("au_threshold", 10**5000),
+    ("au_threshold", -10**5000),
+    ("canny_sigma", 10**5000),
+    ("canny_sigma", -10**5000),
 ], ids=["threshold-int-past-float", "sigma-int-past-float", "sigma-radius-overflows",
-        "sigma-int-radius-overflows", "sigma-taps-past-maxsize"])
+        "sigma-int-radius-overflows", "sigma-taps-past-maxsize", "threshold-int-too-long",
+        "threshold-negative-int-too-long", "sigma-int-too-long", "sigma-negative-int-too-long"])
 def test_a_scalar_past_the_float_range_is_refused_alike(field, value):
     # each escaped as a bare OverflowError, from ceil(3 sigma), from the
     # float conversion of an int or from threshold / 2 in detection, and
     # Config took the threshold; a sigma of 2**63 escaped as numpy's
-    # ValueError, its taps being too many for numpy to size
+    # ValueError, its taps being too many for numpy to size; an int of more
+    # than 4,300 digits escaped as the ValueError of printing it
     if field == "au_threshold":
         _refused_alike({field: value}, lambda: detect_active_aus(_FRAME, _FRAME, value))
     else:
@@ -311,6 +329,11 @@ def test_sequence_frames_must_be_face_frames(base_frame):
         FrameSequence(("x", "y"))
     with pytest.raises(SchemaError, match="must be a FaceFrame"):
         FrameSequence((base_frame, base_frame.xy))
+    # a list of frames used to be accepted, and 5 escaped as a bare TypeError
+    with pytest.raises(SchemaError, match="^sequence frames must be a tuple, got list$"):
+        FrameSequence([base_frame])
+    with pytest.raises(SchemaError, match="^sequence frames must be a tuple, got int$"):
+        FrameSequence(5)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -337,3 +360,101 @@ def test_midline_axis_fields_are_checked(args, message):
     # "x" for every field used to raise a bare ValueError from unpacking
     with pytest.raises(SchemaError, match=message):
         MidlineAxis(*args)
+
+
+_TOO_LONG = 10**5000  # past the 4,300 digits that Python prints of an int
+_BITS = "<int of 16610 bits>"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: counterpart(_TOO_LONG), SchemaError, f"point id out of range: {_BITS}"),
+    (lambda: RasterImage(_TOO_LONG, 1, 1, b""), RasterShapeError,
+     f"payload holds 0 bytes, geometry needs {_BITS}"),
+    (lambda: RasterImage(-_TOO_LONG, 1, 1, b""), RasterShapeError, "bad dimensions <negative int of 16610 bits>x1"),
+    (lambda: RasterImage(1, 1, _TOO_LONG, b""), RasterShapeError,
+     f"channels must be 1 or 3, got {_BITS}"),
+    (lambda: Rect(_TOO_LONG, 0, 1, 1), RasterShapeError, f"degenerate rectangle ({_BITS},0,1,1)"),
+    (lambda: check_thresholds(_TOO_LONG, 1), DomainError,
+     f"thresholds must satisfy 0 < low < high <= 1, got {_BITS}, 1"),
+    (lambda: check_threshold(-_TOO_LONG), DomainError,
+     "au threshold must be positive and finite, got <negative int of 16610 bits>"),
+    (lambda: GroupElement(4, _TOO_LONG, 0), DomainError,
+     f"reflection exponent must be 0 or 1, got {_BITS}"),
+    (lambda: MidlineAxis((0.0, 0.0), (0.0, 1.0), _TOO_LONG), SchemaError,
+     f"axis fit_residual must be finite, got {_BITS}"),
+    (lambda: MidlineAxis((_TOO_LONG, 0.0), (0.0, 1.0), 0.0), SchemaError,
+     "axis point must be a finite (x, y) tuple, got <tuple holding an int too long to print>"),
+], ids=["point-id", "payload", "width", "channels", "rect", "canny-threshold", "au-threshold",
+        "reflection", "axis-residual", "axis-point"])
+def test_a_refused_int_too_long_to_print_is_named_by_its_bit_length(call, error, message):
+    # each raised the ValueError of printing the int in the message
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30), st.floats(), st.text(max_size=3),
+    st.just(math.nan),
+    # built, not listed: hypothesis prints its strategies, and no int this long prints
+    st.builds(lambda digits, sign: sign * 10**digits,
+              st.sampled_from([400, 5000]), st.sampled_from([1, -1])),
+)
+_JUNK = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+    st.sets(_SCALARS, max_size=3), st.frozensets(_SCALARS, max_size=3),
+), max_leaves=6)
+
+
+def _variants(valid) -> st.SearchStrategy:
+    """``valid``, its items in a list or a set, one item swapped for junk,
+    or junk."""
+    options = [st.just(valid), _JUNK]
+    if isinstance(valid, (tuple, frozenset)) and valid:
+        items = tuple(valid)
+        options += [st.just(list(items)), st.just(set(items)), st.builds(
+            lambda i, junk: items[:i] + (junk,) + items[i + 1:],
+            st.integers(0, len(items) - 1), _JUNK,
+        )]
+    return st.one_of(options)
+
+
+@pytest.mark.parametrize("cls", [FaceFrame, FrameSequence, MidlineAxis, GroupElement, Rect,
+                                 RasterImage, Config], ids=lambda c: c.__name__)
+@given(data=st.data())
+def test_input_records_refuse_junk_fields(cls, data):
+    # a list or a set for a container field used to be accepted, and an int
+    # too long to print escaped as a ValueError; a record that is accepted
+    # hashes, so none holds a mutable container
+    fields = [data.draw(_variants(value)) for value in SAMPLES[cls]]
+    try:
+        record = cls(*fields)
+    except (DfaceError, TypeError):
+        return
+    hash(record)
+
+
+# The library calls that read one scalar; sigma goes to its check alone,
+# since gaussian_smooth builds whatever kernel an accepted sigma asks for.
+_SCALAR_CALLS = {
+    "threshold": lambda v: detect_active_aus(_FRAME, _FRAME, v),
+    "threshold-check": check_threshold,
+    "sigma": check_sigma,
+    "canny-low": lambda v: canny_edges(_GRAY, v, 0.3),
+    "canny-high": lambda v: canny_edges(_GRAY, 0.1, v),
+    "canny-pair": lambda v: check_thresholds(v, v),
+    "tie-order": lambda v: classify_emotion([], v),
+    "order": lambda v: parse_element(v, "r"),
+    "element-name": lambda v: parse_element(4, v),
+    "point-id": counterpart,
+}
+
+
+@pytest.mark.parametrize("name", list(_SCALAR_CALLS))
+@given(value=_JUNK)
+def test_scalar_checks_refuse_junk(name, value):
+    # a DfaceError or a TypeError, never a ValueError or an OverflowError
+    try:
+        _SCALAR_CALLS[name](value)
+    except (DfaceError, TypeError):
+        pass
