@@ -98,7 +98,6 @@ class OrbitEntry:
 class OrbitManifest:
     source_id: str
     entries: tuple[OrbitEntry, ...]
-    distinct_count: int
 
 
 def _suffix(img: RasterImage) -> str:
@@ -109,8 +108,9 @@ def orbit(img: RasterImage, source_id: str = "image") -> tuple[OrbitManifest, di
     """All eight transformed images plus a manifest of content hashes.
 
     Only square images have a well-defined orbit here: a quarter turn of a
-    non-square image changes its shape.  The number of distinct results
-    always divides eight (it is 8 / |stabilizer|).
+    non-square image changes its shape.  The number of distinct results,
+    that is of distinct ``sha256`` values among the entries, always divides
+    eight (it is 8 / |stabilizer|).
     """
     import hashlib
     if not img.is_square:
@@ -120,15 +120,13 @@ def orbit(img: RasterImage, source_id: str = "image") -> tuple[OrbitManifest, di
         )
     images: dict[str, RasterImage] = {}
     entries = []
-    hashes = set()
     for g in elements(4):
         name = element_name(g)
         out = act_on_image(g, img)
         digest = hashlib.sha256(write_image(out)).hexdigest()
-        hashes.add(digest)
         images[name] = out
         entries.append(OrbitEntry(name, f"{source_id}__{name}{_suffix(out)}", digest))
-    return OrbitManifest(source_id, tuple(entries), len(hashes)), images
+    return OrbitManifest(source_id, tuple(entries)), images
 
 
 @record
@@ -196,7 +194,7 @@ def augment_dataset(
                 save_frame((out_dir / entry.path).with_suffix(".csv"), points)
         written += len(kept)
         entries = tuple(entry for _, entry in kept)
-        manifests.append(OrbitManifest(manifest.source_id, entries, manifest.distinct_count))
+        manifests.append(OrbitManifest(manifest.source_id, entries))
         processed += 1
     (out_dir / "manifest.csv").write_text(manifest_csv(manifests), encoding="utf-8")
     return AugmentSummary(processed, written, tuple(errors))

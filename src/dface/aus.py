@@ -117,12 +117,6 @@ class ActionUnitRuleSet:
                 return unit
         raise DomainError(f"unknown action unit {number}")
 
-    def rule(self, emotion: Emotion) -> EmotionRule:
-        for rule in self.rules:
-            if rule.emotion is emotion:
-                return rule
-        raise DomainError(f"no rule for {emotion}")
-
 
 @lru_cache(maxsize=1)
 def rule_tables() -> ActionUnitRuleSet:
@@ -242,11 +236,9 @@ def classify_emotion(
     detected = {a.au.number for a in activations if a.active}
     if not detected:
         return ClassificationResult("Neutral", ())
-    tables = rule_tables()
-    scored = []
-    for emotion in order:
-        rule_set = tables.rule(emotion).refined_aus
-        scored.append((emotion, len(detected & rule_set) / len(detected | rule_set)))
+    refined = {rule.emotion: rule.refined_aus for rule in rule_tables().rules}
+    scored = [(emotion, len(detected & refined[emotion]) / len(detected | refined[emotion]))
+              for emotion in order]
     # sorted is stable, so equal scores keep the tie order
     ranking = tuple(sorted(scored, key=lambda pair: -pair[1]))
     return ClassificationResult(ranking[0][0].value, ranking)

@@ -96,14 +96,6 @@ class Rect:
         if self.x0 >= self.x1 or self.y0 >= self.y1:
             raise RasterShapeError(f"degenerate rectangle ({self.csv()})")
 
-    @property
-    def width(self) -> int:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> int:
-        return self.y1 - self.y0
-
     def csv(self) -> str:
         return ",".join(map(shown, (self.x0, self.y0, self.x1, self.y1)))
 

@@ -833,7 +833,7 @@ def test_rect_validation_and_csv():
     with pytest.raises(RasterShapeError):
         Rect(2, 0, 2, 5)
     r = Rect(1, 2, 4, 7)
-    assert (r.width, r.height) == (3, 5)
+    assert (r.x1 - r.x0, r.y1 - r.y0) == (3, 5)
     assert r.csv() == "1,2,4,7"
 
 

@@ -26,6 +26,7 @@ from dface.face import (
     Region,
     build_frame,
 )
+from dface.formatting import ordered_mean
 from dface.symmetry import (
     MidlineAxis,
     asymmetry_report,
@@ -76,6 +77,12 @@ def test_midline_needs_three_pairs(base_coords):
     coords = {pid: xy for pid, xy in base_coords.items() if pid in keep}
     with pytest.raises(InsufficientPairsError):
         estimate_midline(build_frame(coords))
+    # exactly three complete pairs, the brows alone, are enough
+    brows = {pid: xy for pid, xy in base_coords.items() if pid <= 5}
+    axis = estimate_midline(build_frame(brows))
+    assert axis.point[0] == pytest.approx(AXIS_X)
+    assert axis.direction[0] == pytest.approx(0.0, abs=1e-12)
+    assert axis.fit_residual == 0.0
 
 
 def test_midline_rejects_a_residual_that_overflows():
@@ -375,9 +382,12 @@ def test_report_aggregates(base_coords):
     assert set(report.per_region) == {
         Region.EYEBROW, Region.EYE, Region.LIP_CORNER, Region.LIP_MIDDLE
     }
-    # all the movement lives in the mouth corners
+    # all the movement, and all the mismatch, lives in the mouth corners
     assert report.per_region[Region.LIP_CORNER][1] > 0.0
     assert report.per_region[Region.EYEBROW][1] == 0.0
+    assert report.structural == ordered_mean([structural_asymmetry(f) for f in seq.frames])
+    assert report.per_region[Region.LIP_CORNER][0] > 0.0
+    assert report.per_region[Region.EYEBROW][0] == 0.0
 
     text = report_csv(report)
     lines = text.splitlines()
