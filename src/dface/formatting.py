@@ -49,8 +49,9 @@ def shown(value, text=repr) -> str:
         return f"<{type(value).__name__} holding an int too long to print>"
 
 
-def ascii_int(text: str) -> int | None:
-    """The value of ``text`` if it is ASCII decimal digits, else None."""
+def ascii_int(text: str | bytes) -> int | None:
+    """The value of ``text``, a str or bytes, if it is ASCII decimal digits,
+    else None."""
     try:
         return int(text) if text.isascii() and text.isdigit() else None
     except ValueError:  # more digits than int() converts

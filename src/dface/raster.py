@@ -14,10 +14,12 @@ from sys import float_info, maxsize
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ImageFormatError, RasterShapeError
-from .formatting import shown
+from .formatting import ascii_int, shown
 from .record import record
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 
@@ -141,10 +143,9 @@ def read_image(data: bytes) -> RasterImage:
     else:
         raise ImageFormatError(f"unsupported magic {magic!r} (want P5 or P6)")
     tokens, offset = _header_tokens(data[2:], 3)
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise ImageFormatError("non-numeric header field") from None
+    width, height, maxval = map(ascii_int, tokens)
+    if None in (width, height, maxval):
+        raise ImageFormatError("non-numeric header field")
     if width < 1 or height < 1:
         raise ImageFormatError(f"bad dimensions {width}x{height}")
     if maxval != 255:
@@ -166,14 +167,25 @@ def write_image(img: RasterImage) -> bytes:
     return header + img.samples
 
 
+# Rows per strip in the luma, smoothing and Sobel passes: a strip of a
+# 1024-wide plane and its buffers stay in cache across all the steps, a whole
+# plane does not.
+_STRIP_ROWS = 48
+
+
 def to_grayscale(img: RasterImage) -> RasterImage:
     """Integer luma 0.299 R + 0.587 G + 0.114 B; a no-op on gray input."""
     import numpy as np
     if img.channels == 1:
         return img
-    rgb = img.array().astype(np.float64)
-    luma = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
-    return RasterImage.from_array(np.floor(luma + 0.5).astype(np.uint8))
+    rgb = img.array()
+    luma = np.empty((img.height, img.width), dtype=np.uint8)
+    # a strip at a time, so no whole-plane float is built
+    for y0 in range(0, img.height, _STRIP_ROWS):
+        strip = rgb[y0 : y0 + _STRIP_ROWS].astype(np.float64)
+        mix = 0.299 * strip[:, :, 0] + 0.587 * strip[:, :, 1] + 0.114 * strip[:, :, 2]
+        luma[y0 : y0 + _STRIP_ROWS] = np.floor(mix + 0.5)
+    return RasterImage.from_array(luma)
 
 
 def check_sigma(sigma: float) -> None:
@@ -207,45 +219,73 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-# Rows per strip in _correlate and Canny's gradient pass: a strip of a
-# 1024-wide plane and its buffers stay in cache across all the steps, a whole
-# plane does not.
-_STRIP_ROWS = 48
+def _correlate(src: np.ndarray, taps: list[tuple[int, int, float]], out: np.ndarray,
+               term: np.ndarray) -> None:
+    """Set ``out[y, x]`` to the sum of ``t * src[y + dy, x + dx]`` over the
+    taps ``(dy, dx, t)``, added in tap order to +0.0; ``term`` is scratch of
+    ``out``'s shape.
 
-
-def _correlate(src: np.ndarray, taps: list[tuple[int, int, float]], out: np.ndarray) -> None:
-    """Add ``t * src[y + dy, x + dx]`` into ``out[y, x]`` for each tap
-    ``(dy, dx, t)``, in tap order.
-
-    It runs one strip of rows at a time through all the taps.  Every value
-    still sums the same products in the same order as a whole-plane pass,
-    so the bits do not depend on the strip height.
+    A tap of +-1 adds or subtracts its window, which is exact, as ``a - b``
+    is ``a + (-b)`` down to signed zeros.  The first tap needs no pass over
+    zeros: a +-1 tap adds its window to +0.0, and any other writes its
+    product, which keeps the bits unless that product is -0.0.  The
+    smoothing taps and sources are never negative, so theirs never is.
     """
     import numpy as np
     h, w = out.shape
-    term_buf = np.empty((min(_STRIP_ROWS, h), w), dtype=np.float64)
-    for y0 in range(0, h, _STRIP_ROWS):
-        acc = out[y0 : y0 + _STRIP_ROWS]
-        term = term_buf[: len(acc)]
-        for dy, dx, t in taps:
-            np.multiply(src[y0 + dy : y0 + dy + len(acc), dx : dx + w], t, out=term)
-            acc += term
+    for k, (dy, dx, t) in enumerate(taps):
+        window = src[dy : dy + h, dx : dx + w]
+        prior = out if k else 0.0
+        if t == 1.0:
+            np.add(prior, window, out=out)
+        elif t == -1.0:
+            np.subtract(prior, window, out=out)
+        elif k:
+            np.multiply(window, t, out=term)
+            out += term
+        else:
+            np.multiply(window, t, out=out)
 
 
-def _smooth_float(plane: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian of a uint8 or float plane, as float64,
-    symmetric-reflect border, fixed left-to-right tap order."""
+def _smooth_strips(plane: np.ndarray, sigma: float, halo: int = 0) -> Iterator[np.ndarray]:
+    """Yield the separable Gaussian of a uint8 or float plane, as float64,
+    symmetric-reflect border, fixed left-to-right tap order, one strip of at
+    most ``_STRIP_ROWS`` rows at a time.  Each strip after the first is led
+    by the ``halo`` smoothed rows before it.
+
+    The row pass widens the padded source a strip at a time into a ring of
+    ``2r + _STRIP_ROWS`` rows for a kernel radius r.  A strip's column pass
+    reads the 2r rows after it too, so the ring carries its last 2r rows to
+    the next strip.  Every value sums the same products in the same order as
+    a whole-plane pass, so the bits do not depend on the strip height.  A
+    yielded strip is a view that the next one overwrites.
+    """
     import numpy as np
     taps = _gaussian_taps(sigma)
     radius = len(taps) // 2
     h, w = plane.shape
+    span = min(_STRIP_ROWS, h)
     # padding the narrow samples before widening them moves an eighth of the bytes
-    padded = np.pad(plane, radius, mode="symmetric").astype(np.float64, copy=False)
-    rows = np.zeros((h + 2 * radius, w), dtype=np.float64)
-    _correlate(padded, [(0, i, t) for i, t in enumerate(taps)], rows)
-    out = np.zeros((h, w), dtype=np.float64)
-    _correlate(rows, [(i, 0, t) for i, t in enumerate(taps)], out)
-    return out
+    padded = np.pad(plane, radius, mode="symmetric")
+    across = [(0, i, t) for i, t in enumerate(taps)]
+    down = [(i, 0, t) for i, t in enumerate(taps)]
+    wide = np.empty((2 * radius + span, w + 2 * radius))
+    ring = np.empty((2 * radius + span, w))
+    term = np.empty_like(ring)
+    out = np.empty((halo + span, w))
+    for y0 in range(0, h, span):
+        n = min(span, h - y0)
+        # ring row i holds the row pass of padded row y0 + i; the rows after
+        # the 2r carried from the last strip are new
+        new = slice(2 * radius if y0 else 0, 2 * radius + n)
+        wide[new] = padded[y0 : y0 + 2 * radius + n][new]
+        _correlate(wide[new], across, ring[new], term[new])
+        _correlate(ring, down, out[halo : halo + n], term[:n])
+        yield out[0 if y0 else halo : halo + n]
+        # numpy copies through a buffer where the carried rows overlap their
+        # own copy, as they do once 2r exceeds the strip
+        ring[: 2 * radius] = ring[n : n + 2 * radius]
+        out[:halo] = out[n : n + halo]
 
 
 def gaussian_smooth(img: RasterImage, sigma: float) -> RasterImage:
@@ -253,11 +293,15 @@ def gaussian_smooth(img: RasterImage, sigma: float) -> RasterImage:
     if img.channels != 1:
         raise RasterShapeError("smoothing expects a single-channel image")
     check_sigma(sigma)
-    smooth = _smooth_float(img.array(), sigma)
-    smooth += 0.5
-    np.floor(smooth, out=smooth)
-    np.clip(smooth, 0, 255, out=smooth)
-    return RasterImage.from_array(smooth.astype(np.uint8))
+    smooth = np.empty((img.height, img.width), dtype=np.uint8)
+    y = 0
+    for strip in _smooth_strips(img.array(), sigma):
+        strip += 0.5
+        np.floor(strip, out=strip)
+        np.clip(strip, 0, 255, out=strip)
+        smooth[y : y + len(strip)] = strip
+        y += len(strip)
+    return RasterImage.from_array(smooth)
 
 
 _SOBEL_X = ((-1.0, 0.0, 1.0), (-2.0, 0.0, 2.0), (-1.0, 0.0, 1.0))
@@ -304,29 +348,30 @@ def _direction_bins(gx: np.ndarray, gy: np.ndarray, out: np.ndarray) -> None:
     out &= 3  # rounding gives 0..4; 4 (angle pi) is bin 0
 
 
-def _gradients(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gradients(blocks: Iterator[np.ndarray], h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Sobel gradient magnitude with a zero border, and the int8 direction
-    bin of every interior pixel.
+    bin of every interior pixel, of the h x w plane that ``blocks`` yields
+    as consecutive strips of rows, each after the first led by the two rows
+    before it.
 
-    One pass runs over strips of rows: Sobel, magnitude and direction of a
-    strip are done while its x and y gradients are in cache, and no
-    whole-plane gradient is ever built.
+    Sobel, magnitude and direction of a strip are done while its x and y
+    gradients are in cache, and no whole-plane gradient is ever built.
     """
     import numpy as np
-    h, w = plane.shape
     mag = np.zeros((h, w), dtype=np.float64)
     bins = np.empty((max(h - 2, 0), max(w - 2, 0)), dtype=np.int8)
     if h < 3 or w < 3:
         return mag, bins
-    gx_buf, gy_buf = np.empty((2, min(_STRIP_ROWS, h - 2), w - 2), dtype=np.float64)
-    for y0 in range(0, h - 2, _STRIP_ROWS):
-        n = min(_STRIP_ROWS, h - 2 - y0)
+    gx_buf, gy_buf, term_buf = np.empty((3, min(_STRIP_ROWS, h - 2), w - 2), dtype=np.float64)
+    y = 0  # interior rows done
+    for block in blocks:
+        n = len(block) - 2
         gx, gy = gx_buf[:n], gy_buf[:n]
         for taps, g in zip(_SOBEL_TAPS, (gx, gy)):
-            g.fill(0.0)
-            _correlate(plane[y0 : y0 + n + 2], taps, g)
-        np.hypot(gx, gy, out=mag[y0 + 1 : y0 + n + 1, 1 : w - 1])
-        _direction_bins(gx, gy, bins[y0 : y0 + n])
+            _correlate(block, taps, g, term_buf[:n])
+        np.hypot(gx, gy, out=mag[y + 1 : y + n + 1, 1 : w - 1])
+        _direction_bins(gx, gy, bins[y : y + n])
+        y += n
     return mag, bins
 
 
@@ -368,6 +413,8 @@ def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
         seeded |= kept[ahead]
         seeded |= kept[nodes - off]
     a, b = np.concatenate(firsts), np.concatenate(seconds)
+    # the union-find needs none of the pair-finding arrays, the id plane included
+    del ids, ahead, both, firsts, seconds
 
     parent = np.arange(n, dtype=np.int32)
     while True:
@@ -413,8 +460,8 @@ def canny_edges(
         raise RasterShapeError("edge detection expects a single-channel image")
     check_thresholds(low, high)
     check_sigma(sigma)
-    mag, bins = _gradients(_smooth_float(img.array(), sigma))
-    h, w = mag.shape
+    h, w = img.height, img.width
+    mag, bins = _gradients(_smooth_strips(img.array(), sigma, halo=2), h, w)
     peak = float(mag.max())
     weak = mag >= max(low * peak, _NOISE_MAGNITUDE)
     strong = mag >= max(high * peak, _NOISE_MAGNITUDE)
@@ -427,7 +474,8 @@ def canny_edges(
         before = mag[1 - dr : h - 1 - dr, 1 - dc : w - 1 - dc]
         after = mag[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc]
         keep[1 : h - 1, 1 : w - 1] |= (bins == b) & (center > before) & (center >= after)
-    del bins
+    # hysteresis runs without the magnitude, its views and the bins
+    del mag, center, before, after, bins
     weak &= keep
     strong &= keep
 

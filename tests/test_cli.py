@@ -199,11 +199,12 @@ def test_an_empty_config_environment_means_no_config_file(capsys, monkeypatch):
     assert (code, err) == (0, "") and out.startswith("e,")
 
 
-def test_out_of_memory_is_a_memory_error(tmp_path):
-    # numpy's allocation failure used to escape main() as a traceback
+def _capped_preprocess(tmp_path, side: int) -> tuple[subprocess.CompletedProcess, Path]:
+    """A fresh ``dface preprocess`` of a side x side noise PGM with its
+    address space capped at 250 MiB, and the path of its output."""
     resource = pytest.importorskip("resource")
     src, dst = tmp_path / "big.pgm", tmp_path / "out.pgm"
-    noise = np.random.default_rng(0).integers(0, 256, (4000, 4000), dtype=np.uint8)
+    noise = np.random.default_rng(0).integers(0, 256, (side, side), dtype=np.uint8)
     write_pgm(src, noise)
     limit = 250 << 20
 
@@ -216,9 +217,23 @@ def test_out_of_memory_is_a_memory_error(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "dface", "preprocess", str(src), "-o", str(dst)],
                           env=env, preexec_fn=cap_address_space, capture_output=True,
                           text=True, timeout=60)
+    return proc, dst
+
+
+def test_out_of_memory_is_a_memory_error(tmp_path):
+    # numpy's allocation failure used to escape main() as a traceback
+    proc, dst = _capped_preprocess(tmp_path, 4000)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("error[memory]:") and "Traceback" not in proc.stderr
     assert not dst.exists()
+
+
+def test_preprocess_fits_a_large_image_under_the_memory_cap(tmp_path):
+    # whole-plane float64 smoothing ran out of memory here; the strip
+    # passes keep only the gradient magnitude as a whole float plane
+    proc, dst = _capped_preprocess(tmp_path, 2500)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1,1,2499,2499\n", "")
+    assert dst.stat().st_size == len(b"P5\n2498 2498\n255\n") + 2498 * 2498
 
 
 def test_transform_missing_file(tmp_path, capsys):

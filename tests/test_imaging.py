@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import math
+import tracemalloc
 import warnings
 from collections import deque
 
@@ -29,7 +30,7 @@ from dface.raster import (
     _gaussian_taps,
     _gradients,
     _hysteresis,
-    _smooth_float,
+    _smooth_strips,
     bounding_rect,
     canny_edges,
     crop,
@@ -130,8 +131,10 @@ def test_read_rejects_trailing_bytes():
 
 
 def test_read_rejects_non_numeric_header():
-    with pytest.raises(ImageFormatError):
-        read_image(b"P5\ntwo 2\n255\n" + bytes(4))
+    # header numbers are ASCII digits only: int() would read 1_0 as 10
+    for header in (b"two 2 255", b"1_0 1 255", b"+8 1 255", b"2 2 2_55"):
+        with pytest.raises(ImageFormatError, match="^non-numeric header field$"):
+            read_image(b"P5\n" + header + b"\n" + bytes(64))
 
 
 def test_read_rejects_missing_payload():
@@ -506,8 +509,8 @@ def _mod_bins(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
 def test_strip_sobel_keeps_the_bits(h, kernel):
     # every value and every sign bit must match the whole-plane pass
     plane = _signed_zero_plane(h)
-    got = np.zeros((h - 2, 35))
-    _correlate(plane, _SOBEL_TAPS[(_SOBEL_X, _SOBEL_Y).index(kernel)], got)
+    got = np.empty((h - 2, 35))
+    _correlate(plane, _SOBEL_TAPS[(_SOBEL_X, _SOBEL_Y).index(kernel)], got, np.empty_like(got))
     want = _whole_plane_convolve3(plane, kernel)[1:-1, 1:-1]
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert got.tobytes() == want.tobytes()
@@ -515,12 +518,14 @@ def test_strip_sobel_keeps_the_bits(h, kernel):
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4, _STRIP_ROWS + 2, _STRIP_ROWS + 3, 2 * _STRIP_ROWS + 3])
 def test_strip_gradients_keep_the_bits(h):
-    # the strip pass against whole-plane Sobel: magnitude bit for bit, and
-    # the np.mod direction bins at every interior pixel
+    # the strip pass, fed strips led by two-row halos as smoothing yields
+    # them, against whole-plane Sobel: magnitude bit for bit, and the np.mod
+    # direction bins at every interior pixel
     plane = _signed_zero_plane(h)
     gx = _whole_plane_convolve3(plane, _SOBEL_X)
     gy = _whole_plane_convolve3(plane, _SOBEL_Y)
-    mag, bins = _gradients(plane)
+    blocks = (plane[max(y - 2, 0) : y + _STRIP_ROWS] for y in range(0, h, _STRIP_ROWS))
+    mag, bins = _gradients(blocks, h, 37)
     assert mag.tobytes() == np.hypot(gx, gy).tobytes()
     assert np.array_equal(bins, _mod_bins(gx, gy)[1:-1, 1:-1])
 
@@ -593,14 +598,19 @@ def _test_image(kind: str, h: int, w: int, channels: int, seed: int) -> np.ndarr
 
 
 @given(
-    h=st.sampled_from([1, _STRIP_ROWS - 1, _STRIP_ROWS, _STRIP_ROWS + 1, 2 * _STRIP_ROWS + 1]),
+    h=st.sampled_from([1, _STRIP_ROWS - 1, _STRIP_ROWS, _STRIP_ROWS + 1, 2 * _STRIP_ROWS,
+                       2 * _STRIP_ROWS + 1, 2 * _STRIP_ROWS + 2]),
     w=st.integers(1, 80),
     kind=st.sampled_from(["noise", "disk", "constant"]),
-    sigma=st.sampled_from([0.5, 1.0, 1.4, 2.5, 5.0]),
+    sigma=st.sampled_from([0.5, 1.0, 1.4, 2.5, 5.0, 20.0]),
     thresholds=st.tuples(st.floats(0.001, 1.0), st.floats(0.001, 1.0)),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(h=2 * _STRIP_ROWS + 1, w=80, kind="noise", sigma=5.0, thresholds=(0.1, 0.3), seed=0)
+# a radius of 60 rows: the ring carries more rows than a strip, so the rows
+# it carries overlap their own copy
+@example(h=2 * _STRIP_ROWS + 2, w=80, kind="noise", sigma=20.0, thresholds=(0.1, 0.3), seed=2)
+@example(h=2 * _STRIP_ROWS, w=9, kind="disk", sigma=20.0, thresholds=(0.05, 0.2), seed=3)
 @example(h=_STRIP_ROWS + 1, w=1, kind="disk", sigma=0.5, thresholds=(0.5, 1.0), seed=1)
 @example(h=_STRIP_ROWS - 1, w=3, kind="constant", sigma=0.5, thresholds=(1.0, 0.5), seed=1)
 def test_strip_smoothing_and_candidate_directions_keep_the_bits(
@@ -611,7 +621,13 @@ def test_strip_smoothing_and_candidate_directions_keep_the_bits(
     arr = _test_image(kind, h, w, 1, seed)
     plane = arr.astype(np.float64)
     want = _whole_plane_smooth_float(plane, sigma)
-    assert _smooth_float(plane, sigma).tobytes() == want.tobytes()
+    # each strip is checked before the next one overwrites it, halo included
+    y = 0
+    for strip in _smooth_strips(plane, sigma, halo=2):
+        lead = min(y, 2)
+        assert strip.tobytes() == want[y - lead : y - lead + len(strip)].tobytes()
+        y += len(strip) - lead
+    assert y == h
     smoothed = np.floor(want + 0.5).clip(0, 255).astype(np.uint8)
     assert gaussian_smooth(gray(arr), sigma).samples == smoothed.tobytes()
     assert canny_edges(gray(arr), low, high, sigma).samples == _every_pixel_direction_canny(arr, low, high, sigma)
@@ -663,6 +679,29 @@ def test_canny_noise_golden():
     )
 
 
+def _traced_peak_mib(stage, *args) -> float:
+    """The peak of what ``stage(*args)`` allocates, in MiB, as tracemalloc
+    sees it; numpy reports its array buffers to it."""
+    tracemalloc.start()
+    try:
+        stage(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage, channels, args, limit_mib", [
+    pytest.param(gaussian_smooth, 1, (1.4,), 6, id="smooth"),
+    pytest.param(canny_edges, 1, (0.1, 0.3, 1.4), 20, id="canny"),
+    pytest.param(to_grayscale, 3, (), 6, id="luma"),
+])
+def test_raster_stages_run_in_bounded_memory(stage, channels, args, limit_mib):
+    # a 1024x1024 float64 plane is 8 MiB; the whole-plane passes peaked at
+    # 24.6 MiB in smoothing, 28.8 in Canny and 48.0 in luma on this image
+    img = RasterImage.from_array(_test_image("noise", 1024, 1024, channels, seed=0))
+    assert _traced_peak_mib(stage, img, *args) <= limit_mib
+
+
 D4 = elements(4)
 
 
@@ -673,7 +712,7 @@ def _near_tie(arr: np.ndarray, low: float, high: float, sigma: float) -> bool:
     pixel against ``high`` = 1 aside).  Such a tie is often exact in real
     arithmetic, and then the rounding of sums taken in scan order, which D4
     does not keep, decides it."""
-    plane = _smooth_float(arr.astype(np.float64), sigma)
+    plane = _whole_plane_smooth_float(arr.astype(np.float64), sigma)
     gx, gy = _whole_plane_convolve3(plane, _SOBEL_X), _whole_plane_convolve3(plane, _SOBEL_Y)
     mag = np.hypot(gx, gy)
     h, w = mag.shape
