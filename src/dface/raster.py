@@ -9,6 +9,8 @@ binary PGM (P5) and PPM (P6) with maxval 255 are supported.
 
 from __future__ import annotations
 
+import os
+import threading
 from math import ceil
 from sys import float_info, maxsize
 from typing import TYPE_CHECKING
@@ -18,7 +20,7 @@ from .formatting import ascii_int, shown
 from .record import record
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Callable, Iterator
 
     import numpy as np
 
@@ -105,12 +107,12 @@ class Rect:
 _WHITESPACE = b" \t\r\n\v\f"
 
 
-def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """Read ``count`` whitespace-separated header tokens, honoring
-    ``#`` comments; returns the tokens and the offset just past the single
-    whitespace byte that terminates the last one."""
+def _header_tokens(data: bytes, count: int, i: int) -> tuple[list[bytes], int]:
+    """Read ``count`` whitespace-separated header tokens from offset ``i``
+    on, honoring ``#`` comments; returns the tokens and the offset just past
+    the single whitespace byte that terminates the last one."""
     tokens: list[bytes] = []
-    i, n = 0, len(data)
+    n = len(data)
     while len(tokens) < count:
         while i < n:
             if data[i] in _WHITESPACE:
@@ -142,7 +144,7 @@ def read_image(data: bytes) -> RasterImage:
         channels = 3
     else:
         raise ImageFormatError(f"unsupported magic {magic!r} (want P5 or P6)")
-    tokens, offset = _header_tokens(data[2:], 3)
+    tokens, offset = _header_tokens(data, 3, 2)
     width, height, maxval = map(ascii_int, tokens)
     if None in (width, height, maxval):
         raise ImageFormatError("non-numeric header field")
@@ -150,7 +152,7 @@ def read_image(data: bytes) -> RasterImage:
         raise ImageFormatError(f"bad dimensions {width}x{height}")
     if maxval != 255:
         raise ImageFormatError(f"unsupported maxval {maxval} (want 255)")
-    payload = data[2 + offset :]
+    payload = data[offset:]
     expect = width * height * channels
     if len(payload) < expect:
         raise ImageFormatError(
@@ -171,6 +173,59 @@ def write_image(img: RasterImage) -> bytes:
 # 1024-wide plane and its buffers stay in cache across all the steps, a whole
 # plane does not.
 _STRIP_ROWS = 48
+
+
+def _band_count(rows: int) -> int:
+    """Bands to split ``rows`` rows into: one per usable core, with at
+    least ``_STRIP_ROWS`` rows in each, and at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, rows // _STRIP_ROWS))
+
+
+def _in_bands(work: Callable[[int, int], object], start: int, stop: int) -> list:
+    """Run ``work(a, b)`` on each of ``_band_count`` contiguous bands
+    [a, b) that split the rows [start, stop), start < stop, all at once, and
+    return the results in band order.
+
+    The calling thread runs the first band and a thread each runs the rest;
+    numpy drops the GIL inside its loops, so the bands share the cores.  A
+    band whose thread cannot start runs on the calling thread.  An exception
+    in any band, MemoryError included, is raised here once every band has
+    stopped.
+    """
+    count = _band_count(stop - start)
+    cuts = [start + (stop - start) * k // count for k in range(count + 1)]
+    bands = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    results = [None] * len(bands)
+    failures: list[BaseException] = []
+
+    def run(k: int) -> None:
+        try:
+            results[k] = work(*bands[k])
+        except BaseException as exc:  # raised in the caller after the join
+            failures.append(exc)
+
+    threads, mine = [], [0]
+    try:
+        for k in range(1, len(bands)):
+            thread = threading.Thread(target=run, args=(k,))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had
+                mine.append(k)
+            else:
+                threads.append(thread)
+        for k in mine:
+            run(k)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return results
 
 
 def to_grayscale(img: RasterImage) -> RasterImage:
@@ -247,45 +302,53 @@ def _correlate(src: np.ndarray, taps: list[tuple[int, int, float]], out: np.ndar
             np.multiply(window, t, out=out)
 
 
-def _smooth_strips(plane: np.ndarray, sigma: float, halo: int = 0) -> Iterator[np.ndarray]:
-    """Yield the separable Gaussian of a uint8 or float plane, as float64,
-    symmetric-reflect border, fixed left-to-right tap order, one strip of at
-    most ``_STRIP_ROWS`` rows at a time.  Each strip after the first is led
-    by the ``halo`` smoothed rows before it.
+def _smooth_strips(padded: np.ndarray, taps: np.ndarray, start: int, stop: int,
+                   halo: int = 0) -> Iterator[np.ndarray]:
+    """Yield rows [start, stop) of the separable Gaussian ``taps`` of the
+    plane that ``padded`` holds with a symmetric-reflect border as wide as
+    the taps' radius, as float64, fixed left-to-right tap order, one strip
+    of at most ``_STRIP_ROWS`` rows at a time.  Each strip after the first
+    is led by the ``halo`` smoothed rows before it.
 
-    The row pass widens the padded source a strip at a time into a ring of
-    ``2r + _STRIP_ROWS`` rows for a kernel radius r.  A strip's column pass
-    reads the 2r rows after it too, so the ring carries its last 2r rows to
-    the next strip.  Every value sums the same products in the same order as
-    a whole-plane pass, so the bits do not depend on the strip height.  A
+    The row pass reads the padded source a strip at a time into a ring of
+    ``2r + _STRIP_ROWS`` rows for a kernel radius r, widening each sample as
+    it multiplies it.  A strip's column pass reads the 2r rows after it too,
+    so the ring carries its last 2r rows to the next strip.  Every value
+    sums the same products in the same order as a whole-plane pass, so the
+    bits depend on neither the strip height nor the rows asked for.  A
     yielded strip is a view that the next one overwrites.
     """
     import numpy as np
-    taps = _gaussian_taps(sigma)
     radius = len(taps) // 2
-    h, w = plane.shape
-    span = min(_STRIP_ROWS, h)
-    # padding the narrow samples before widening them moves an eighth of the bytes
-    padded = np.pad(plane, radius, mode="symmetric")
-    across = [(0, i, t) for i, t in enumerate(taps)]
-    down = [(i, 0, t) for i, t in enumerate(taps)]
-    wide = np.empty((2 * radius + span, w + 2 * radius))
+    w = padded.shape[1] - 2 * radius
+    span = min(_STRIP_ROWS, stop - start)
+    across = [(0, i, float(t)) for i, t in enumerate(taps)]
+    down = [(i, 0, float(t)) for i, t in enumerate(taps)]
     ring = np.empty((2 * radius + span, w))
     term = np.empty_like(ring)
     out = np.empty((halo + span, w))
-    for y0 in range(0, h, span):
-        n = min(span, h - y0)
+    for y0 in range(start, stop, span):
+        n = min(span, stop - y0)
         # ring row i holds the row pass of padded row y0 + i; the rows after
         # the 2r carried from the last strip are new
-        new = slice(2 * radius if y0 else 0, 2 * radius + n)
-        wide[new] = padded[y0 : y0 + 2 * radius + n][new]
-        _correlate(wide[new], across, ring[new], term[new])
+        new = slice(2 * radius if y0 > start else 0, 2 * radius + n)
+        _correlate(padded[y0 : y0 + 2 * radius + n][new], across, ring[new], term[new])
         _correlate(ring, down, out[halo : halo + n], term[:n])
-        yield out[0 if y0 else halo : halo + n]
+        yield out[halo if y0 == start else 0 : halo + n]
         # numpy copies through a buffer where the carried rows overlap their
         # own copy, as they do once 2r exceeds the strip
         ring[: 2 * radius] = ring[n : n + 2 * radius]
         out[:halo] = out[n : n + halo]
+
+
+def _padded_taps(img: RasterImage, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Gaussian taps of ``sigma`` and the uint8 samples of ``img``
+    padded, symmetric-reflect, by their radius: the source every band of
+    ``_smooth_strips`` reads."""
+    import numpy as np
+    taps = _gaussian_taps(sigma)
+    # padding the narrow samples, not widened ones, moves an eighth of the bytes
+    return np.pad(img.array(), len(taps) // 2, mode="symmetric"), taps
 
 
 def gaussian_smooth(img: RasterImage, sigma: float) -> RasterImage:
@@ -293,14 +356,19 @@ def gaussian_smooth(img: RasterImage, sigma: float) -> RasterImage:
     if img.channels != 1:
         raise RasterShapeError("smoothing expects a single-channel image")
     check_sigma(sigma)
+    padded, taps = _padded_taps(img, sigma)
     smooth = np.empty((img.height, img.width), dtype=np.uint8)
-    y = 0
-    for strip in _smooth_strips(img.array(), sigma):
-        strip += 0.5
-        np.floor(strip, out=strip)
-        np.clip(strip, 0, 255, out=strip)
-        smooth[y : y + len(strip)] = strip
-        y += len(strip)
+
+    def band(start: int, stop: int) -> None:
+        y = start
+        for strip in _smooth_strips(padded, taps, start, stop):
+            strip += 0.5
+            np.floor(strip, out=strip)
+            np.clip(strip, 0, 255, out=strip)
+            smooth[y : y + len(strip)] = strip
+            y += len(strip)
+
+    _in_bands(band, 0, img.height)
     return RasterImage.from_array(smooth)
 
 
@@ -348,31 +416,102 @@ def _direction_bins(gx: np.ndarray, gy: np.ndarray, out: np.ndarray) -> None:
     out &= 3  # rounding gives 0..4; 4 (angle pi) is bin 0
 
 
-def _gradients(blocks: Iterator[np.ndarray], h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sobel gradient magnitude with a zero border, and the int8 direction
-    bin of every interior pixel, of the h x w plane that ``blocks`` yields
-    as consecutive strips of rows, each after the first led by the two rows
-    before it.
+def _suppress(mag: np.ndarray, keep: np.ndarray, y: int, bins: np.ndarray,
+              votes: np.ndarray) -> None:
+    """Non-maximum suppression of rows [y, y + len(bins)) of ``mag``, at its
+    interior columns, into ``keep``: a pixel is kept when its magnitude
+    exceeds that of its neighbor before it along the direction of its bin
+    in ``bins`` and ties or exceeds that of the neighbor after it, so the
+    earlier of two exactly tied neighbors survives.
 
-    Sobel, magnitude and direction of a strip are done while its x and y
-    gradients are in cache, and no whole-plane gradient is ever built.
+    ``votes`` is bool scratch of shape (3, 4, k, w - 2), k >= len(bins):
+    per bin, whether a pixel is in it, beats the neighbor before and holds
+    against the one after.  Twelve tests into one buffer and three calls to
+    combine them make fewer and larger numpy calls than a mask per test, so
+    bands hand the GIL to each other less often.
     """
     import numpy as np
-    mag = np.zeros((h, w), dtype=np.float64)
-    bins = np.empty((max(h - 2, 0), max(w - 2, 0)), dtype=np.int8)
-    if h < 3 or w < 3:
-        return mag, bins
-    gx_buf, gy_buf, term_buf = np.empty((3, min(_STRIP_ROWS, h - 2), w - 2), dtype=np.float64)
-    y = 0  # interior rows done
+    n, w = len(bins), mag.shape[1]
+    center = mag[y : y + n, 1 : w - 1]
+    votes = votes[:, :, :n]
+    np.equal(bins, np.arange(4, dtype=bins.dtype)[:, None, None], out=votes[0])
+    for b, (dr, dc) in enumerate(_FORWARD_STEPS):
+        np.greater(center, mag[y - dr : y + n - dr, 1 - dc : w - 1 - dc], out=votes[1, b])
+        np.greater_equal(center, mag[y + dr : y + n + dr, 1 + dc : w - 1 + dc], out=votes[2, b])
+    np.logical_and(votes[0], votes[1], out=votes[0])
+    np.logical_and(votes[0], votes[2], out=votes[0])
+    np.logical_or.reduce(votes[0], axis=0, out=keep[y : y + n, 1 : w - 1])
+
+
+def _edge_band(blocks: Iterator[np.ndarray], mag: np.ndarray, keep: np.ndarray,
+               start: int, stop: int) -> list[tuple[int, np.ndarray]]:
+    """Sobel gradient magnitude of rows [start, stop) of an interior band
+    into the zeroed ``mag``, and their non-maximum suppression into the
+    zeroed ``keep``.  ``blocks`` yields the smoothed rows [start - 1,
+    stop + 1) as consecutive strips, each after the first led by the two
+    rows before it.
+
+    Sobel, magnitude, direction and suppression of a strip are done while
+    its gradients are in cache, and no whole-plane gradient or direction
+    plane is ever built.  Suppression runs one row behind Sobel, as a row
+    needs the magnitude of the row after it.  A first or last row whose
+    neighbor row belongs to another band is left to the caller, once every
+    band has its magnitude: it is returned with its direction bins.
+    """
+    import numpy as np
+    h, w = mag.shape
+    span = min(_STRIP_ROWS, stop - start)
+    sobel = np.empty((3, span, w - 2), dtype=np.float64)
+    gx_buf, gy_buf, term_buf = sobel
+    # suppression's twelve tests per pixel fit in the Sobel buffers, which
+    # are free once a strip's direction bins are done
+    votes = sobel.reshape(-1).view(bool)[: 12 * (span + 1) * (w - 2)]
+    votes = votes.reshape(3, 4, span + 1, w - 2)
+    # row i holds the bins of row y - 1 + i for the strip at y; row 0
+    # carries the last row of the strip before
+    bins = np.empty((span + 1, w - 2), dtype=np.int8)
+    # rows [lo, hi) have both neighbor rows in the band or on the zero border
+    lo, hi = start + (start > 1), stop - (stop < h - 1)
+    seams = []
+    y = start
     for block in blocks:
         n = len(block) - 2
         gx, gy = gx_buf[:n], gy_buf[:n]
         for taps, g in zip(_SOBEL_TAPS, (gx, gy)):
             _correlate(block, taps, g, term_buf[:n])
-        np.hypot(gx, gy, out=mag[y + 1 : y + n + 1, 1 : w - 1])
-        _direction_bins(gx, gy, bins[y : y + n])
+        np.hypot(gx, gy, out=mag[y : y + n, 1 : w - 1])
+        _direction_bins(gx, gy, bins[1 : n + 1])
+        if y == start and lo > start:
+            seams.append((start, bins[1].copy()))
+        if y + n == stop and hi < stop:
+            seams.append((stop - 1, bins[n].copy()))
+        # every row before the strip's last now has the magnitude of the row
+        # after it; at the band's end, so has its last row unless a seam
+        first, last = max(y - 1, lo), y + n - 1 if y + n < stop else hi
+        _suppress(mag, keep, first, bins[first - y + 1 : last - y + 1], votes)
+        bins[0] = bins[n]
         y += n
-    return mag, bins
+    return seams
+
+
+def _gradients(strips: Callable[[int, int], Iterator[np.ndarray]], h: int,
+               w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sobel gradient magnitude with a zero border, and the mask of the
+    interior pixels that non-maximum suppression keeps, of the h x w plane
+    whose rows [a, b) ``strips(a, b)`` yields as consecutive strips, each
+    after the first led by the two rows before it.  The interior rows run in
+    bands, and the rows at band seams are suppressed after the join."""
+    import numpy as np
+    mag = np.zeros((h, w), dtype=np.float64)
+    keep = np.zeros((h, w), dtype=bool)
+    if h > 2 and w > 2:
+        def band(start: int, stop: int) -> list[tuple[int, np.ndarray]]:
+            return _edge_band(strips(start - 1, stop + 1), mag, keep, start, stop)
+
+        for seams in _in_bands(band, 1, h - 1):
+            for y, bins in seams:
+                _suppress(mag, keep, y, bins[None], np.empty((3, 4, 1, w - 2), dtype=bool))
+    return mag, keep
 
 
 def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
@@ -461,21 +600,13 @@ def canny_edges(
     check_thresholds(low, high)
     check_sigma(sigma)
     h, w = img.height, img.width
-    mag, bins = _gradients(_smooth_strips(img.array(), sigma, halo=2), h, w)
+    padded, taps = _padded_taps(img, sigma)
+    mag, keep = _gradients(lambda a, b: _smooth_strips(padded, taps, a, b, halo=2), h, w)
     peak = float(mag.max())
     weak = mag >= max(low * peak, _NOISE_MAGNITUDE)
     strong = mag >= max(high * peak, _NOISE_MAGNITUDE)
-
-    # the bins of pixels below the low threshold are read here but never
-    # used: they are not weak, and weak &= keep keeps them out
-    keep = np.zeros((h, w), dtype=bool)
-    center = mag[1 : h - 1, 1 : w - 1]
-    for b, (dr, dc) in enumerate(_FORWARD_STEPS):
-        before = mag[1 - dr : h - 1 - dr, 1 - dc : w - 1 - dc]
-        after = mag[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc]
-        keep[1 : h - 1, 1 : w - 1] |= (bins == b) & (center > before) & (center >= after)
-    # hysteresis runs without the magnitude, its views and the bins
-    del mag, center, before, after, bins
+    # hysteresis runs without the magnitude and the padded source
+    del mag, padded
     weak &= keep
     strong &= keep
 

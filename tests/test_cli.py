@@ -236,6 +236,29 @@ def test_preprocess_fits_a_large_image_under_the_memory_cap(tmp_path):
     assert dst.stat().st_size == len(b"P5\n2498 2498\n255\n") + 2498 * 2498
 
 
+def test_preprocess_bytes_do_not_depend_on_the_cores_it_may_use(tmp_path):
+    # pinned to one CPU, preprocess smooths and finds edges in one band;
+    # free to use two or more, in one band per core
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs CPU affinity and at least two usable CPUs")
+    rng = np.random.default_rng(8)
+    yy, xx = np.mgrid[0:300, 0:260]
+    disk = np.where((xx - 120) ** 2 + (yy - 170) ** 2 <= 90**2, 200, 40)
+    src = tmp_path / "disk.pgm"
+    write_pgm(src, disk + rng.integers(-3, 4, disk.shape))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    env = dict(os.environ, PYTHONPATH=str(Path(dface.__file__).parents[1]))
+    env.pop("DFACE_CONFIG", None)
+    runs = []
+    for i, pin in enumerate((lambda: os.sched_setaffinity(0, one_cpu), None)):
+        dst = tmp_path / f"out{i}.pgm"
+        proc = subprocess.run([sys.executable, "-m", "dface", "preprocess", str(src), "-o", str(dst)],
+                              env=env, preexec_fn=pin, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        runs.append((proc.stdout, dst.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_transform_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "transform", "e", str(tmp_path / "nope.pgm"))
     assert code == 3 and err.startswith("error[io]:")

@@ -4,15 +4,18 @@ import contextlib
 import hashlib
 import io
 import math
+import threading
 import tracemalloc
 import warnings
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dface import raster
 from dface.augment import act_on_image
 from dface.cli import main
 from dface.dihedral import elements, parse_element
@@ -516,18 +519,39 @@ def test_strip_sobel_keeps_the_bits(h, kernel):
     assert got.tobytes() == want.tobytes()
 
 
+def _whole_plane_keep(mag: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Whole-plane non-maximum suppression of the magnitude ``mag`` by the
+    direction ``bins`` of every pixel, as Canny did it before suppression
+    ran in strips."""
+    h, w = mag.shape
+    keep = np.zeros((h, w), dtype=bool)
+    center, sector = mag[1 : h - 1, 1 : w - 1], bins[1 : h - 1, 1 : w - 1]
+    for b, (dr, dc) in enumerate(_FORWARD_STEPS):
+        before = mag[1 - dr : h - 1 - dr, 1 - dc : w - 1 - dc]
+        after = mag[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc]
+        keep[1 : h - 1, 1 : w - 1] |= (sector == b) & (center > before) & (center >= after)
+    return keep
+
+
 @pytest.mark.parametrize("h", [1, 2, 3, 4, _STRIP_ROWS + 2, _STRIP_ROWS + 3, 2 * _STRIP_ROWS + 3])
-def test_strip_gradients_keep_the_bits(h):
-    # the strip pass, fed strips led by two-row halos as smoothing yields
-    # them, against whole-plane Sobel: magnitude bit for bit, and the np.mod
-    # direction bins at every interior pixel
+def test_strip_gradients_keep_the_bits(h, monkeypatch):
+    # the strip pass in one to four bands, fed strips led by two-row halos
+    # as smoothing yields them, against whole-plane Sobel: magnitude bit for
+    # bit, and suppression by the np.mod direction bins at every pixel
     plane = _signed_zero_plane(h)
     gx = _whole_plane_convolve3(plane, _SOBEL_X)
     gy = _whole_plane_convolve3(plane, _SOBEL_Y)
-    blocks = (plane[max(y - 2, 0) : y + _STRIP_ROWS] for y in range(0, h, _STRIP_ROWS))
-    mag, bins = _gradients(blocks, h, 37)
-    assert mag.tobytes() == np.hypot(gx, gy).tobytes()
-    assert np.array_equal(bins, _mod_bins(gx, gy)[1:-1, 1:-1])
+    want = np.hypot(gx, gy)
+    want_keep = _whole_plane_keep(want, _mod_bins(gx, gy))
+
+    def strips(a, b):
+        return (plane[max(y - 2, a) : min(y + _STRIP_ROWS, b)] for y in range(a, b, _STRIP_ROWS))
+
+    for count in range(1, 5):
+        monkeypatch.setattr(raster, "_band_count", lambda rows, count=count: count)
+        mag, keep = _gradients(strips, h, 37)
+        assert mag.tobytes() == want.tobytes()
+        assert np.array_equal(keep, want_keep)
 
 
 def test_direction_bins_match_np_mod_bins():
@@ -560,12 +584,7 @@ def _every_pixel_direction_canny(arr: np.ndarray, low: float, high: float, sigma
     angle = np.mod(np.arctan2(gy, gx), np.pi)
     bins = np.mod(np.round(angle / (np.pi / 4.0)).astype(np.int64), 4)
 
-    keep = np.zeros((h, w), dtype=bool)
-    center, sector = mag[1 : h - 1, 1 : w - 1], bins[1 : h - 1, 1 : w - 1]
-    for b, (dr, dc) in enumerate(_FORWARD_STEPS):
-        before = mag[1 - dr : h - 1 - dr, 1 - dc : w - 1 - dc]
-        after = mag[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc]
-        keep[1 : h - 1, 1 : w - 1] |= (sector == b) & (center > before) & (center >= after)
+    keep = _whole_plane_keep(mag, bins)
 
     # magnitudes under 1e-9 are rounding noise, never edges
     peak = float(mag.max())
@@ -622,8 +641,10 @@ def test_strip_smoothing_and_candidate_directions_keep_the_bits(
     plane = arr.astype(np.float64)
     want = _whole_plane_smooth_float(plane, sigma)
     # each strip is checked before the next one overwrites it, halo included
+    taps = _gaussian_taps(sigma)
+    padded = np.pad(plane, len(taps) // 2, mode="symmetric")
     y = 0
-    for strip in _smooth_strips(plane, sigma, halo=2):
+    for strip in _smooth_strips(padded, taps, 0, h, halo=2):
         lead = min(y, 2)
         assert strip.tobytes() == want[y - lead : y - lead + len(strip)].tobytes()
         y += len(strip) - lead
@@ -700,6 +721,69 @@ def test_raster_stages_run_in_bounded_memory(stage, channels, args, limit_mib):
     # 24.6 MiB in smoothing, 28.8 in Canny and 48.0 in luma on this image
     img = RasterImage.from_array(_test_image("noise", 1024, 1024, channels, seed=0))
     assert _traced_peak_mib(stage, img, *args) <= limit_mib
+
+
+@settings(deadline=None)
+@given(
+    h=st.integers(3, 200),
+    w=st.integers(1, 40),
+    kind=st.sampled_from(["noise", "disk", "constant"]),
+    sigma=st.sampled_from([0.5, 1.4, 5.0, 20.0]),
+    thresholds=st.tuples(st.floats(0.001, 1.0), st.floats(0.001, 1.0)),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# four 50-row bands, each shorter than the kernel radius of 60 rows
+@example(h=200, w=40, kind="noise", sigma=20.0, thresholds=(0.1, 0.3), count=4, seed=0)
+# more bands than interior rows
+@example(h=4, w=9, kind="disk", sigma=1.4, thresholds=(0.1, 0.3), count=4, seed=1)
+def test_bands_keep_the_bits(h, w, kind, sigma, thresholds, count, seed):
+    # smoothing and Canny split into one to four bands, against the
+    # whole-plane oracles: the bytes do not depend on the band count
+    low, high = sorted(thresholds)
+    assume(low < high)
+    arr = _test_image(kind, h, w, 1, seed)
+    smoothed = np.floor(_whole_plane_smooth_float(arr.astype(np.float64), sigma) + 0.5)
+    with mock.patch.object(raster, "_band_count", lambda rows: count):
+        assert gaussian_smooth(gray(arr), sigma).samples == smoothed.clip(0, 255).astype(np.uint8).tobytes()
+        assert canny_edges(gray(arr), low, high, sigma).samples == _every_pixel_direction_canny(arr, low, high, sigma)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_band_failure_reaches_the_caller_once_every_band_stops(failing, monkeypatch, tmp_path, capsys):
+    # a MemoryError in either band is raised by canny_edges after the other
+    # band is done, and main() reports it as error[memory] with exit code 3
+    direction_bins = raster._direction_bins
+
+    def starved(gx, gy, out):
+        if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+            raise MemoryError("no room for the band")
+        direction_bins(gx, gy, out)
+
+    monkeypatch.setattr(raster, "_direction_bins", starved)
+    monkeypatch.setattr(raster, "_band_count", lambda rows: 2)
+    img = gray(_test_image("noise", 120, 50, 1, seed=5))
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="no room for the band"):
+        canny_edges(img, 0.1, 0.3)
+    assert threading.active_count() == threads
+    src = tmp_path / "in.pgm"
+    src.write_bytes(write_image(img))
+    assert main(["preprocess", str(src)]) == 3
+    assert capsys.readouterr() == ("", "error[memory]: no room for the band\n")
+    assert threading.active_count() == threads
+
+
+def test_a_band_whose_thread_cannot_start_runs_on_the_caller(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(raster, "_band_count", lambda rows: 3)
+    arr = _test_image("disk", 150, 60, 1, seed=6)
+    smoothed = np.floor(_whole_plane_smooth_float(arr.astype(np.float64), 1.4) + 0.5)
+    assert gaussian_smooth(gray(arr), 1.4).samples == smoothed.astype(np.uint8).tobytes()
+    assert canny_edges(gray(arr), 0.1, 0.3).samples == _every_pixel_direction_canny(arr, 0.1, 0.3, 1.4)
 
 
 D4 = elements(4)

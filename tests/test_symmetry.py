@@ -372,6 +372,25 @@ def test_reconstruct_complete_frame_is_identity(base_frame):
     assert reconstruct_occluded(base_frame) == base_frame
 
 
+def test_mean_is_unnormalised_by_default():
+    assert symmetry._mean([1.0, 2.0]) == 1.5
+    assert symmetry._mean([1.0, 2.0], 3.0) == 0.5
+    assert symmetry._mean([]) == 0.0
+
+
+def test_structural_terms_carry_the_region_of_each_point(base_coords):
+    # one term per complete pair, labelled by the pair's region, then one per
+    # present midline point, labelled lip middle
+    coords = dict(base_coords)
+    del coords[LATERAL_PAIRS[0][1]], coords[MIDLINE_IDS[0]]
+    frame = build_frame(coords)
+    regions = [region for region, _ in symmetry._structural_terms(frame, IDEAL_AXIS)]
+    assert regions == [frame.point(left).region for left, _ in LATERAL_PAIRS[1:]] + [
+        Region.LIP_MIDDLE
+    ] * (len(MIDLINE_IDS) - 1)
+    assert set(regions) == {Region.EYEBROW, Region.EYE, Region.LIP_CORNER, Region.LIP_MIDDLE}
+
+
 def test_report_aggregates(base_coords):
     second = dict(base_coords)
     second[14] = (base_coords[14][0], base_coords[14][1] + 12.0)
