@@ -342,9 +342,9 @@ def _smooth_strips(padded: np.ndarray, taps: np.ndarray, start: int, stop: int,
 
 
 def _padded_taps(img: RasterImage, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Gaussian taps of ``sigma`` and the uint8 samples of ``img``
-    padded, symmetric-reflect, by their radius: the source every band of
-    ``_smooth_strips`` reads."""
+    """The uint8 samples of ``img`` padded, symmetric-reflect, by the radius
+    of the Gaussian taps of ``sigma``, and those taps: the source and the
+    kernel that every band of ``_smooth_strips`` reads."""
     import numpy as np
     taps = _gaussian_taps(sigma)
     # padding the narrow samples, not widened ones, moves an eighth of the bytes
