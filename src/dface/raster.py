@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import threading
+from functools import cache
 from math import ceil
 from sys import float_info, maxsize
 from typing import TYPE_CHECKING
@@ -175,14 +176,40 @@ def write_image(img: RasterImage) -> bytes:
 _STRIP_ROWS = 48
 
 
-def _band_count(rows: int) -> int:
-    """Bands to split ``rows`` rows into: one per usable core, with at
-    least ``_STRIP_ROWS`` rows in each, and at least one."""
+# Bands run at once, each with its own strip buffers: about 1.8 MiB a band in
+# smoothing and 3.8 MiB in Canny at 1024 wide.  A third band would take a
+# 1024x1024 plane to 7.3 MiB traced in smoothing and 21.3 in Canny, so the
+# scratch is capped here rather than growing with the host's cores.
+_MAX_BANDS = 2
+
+
+def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, rows // _STRIP_ROWS))
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _band_count(rows: int) -> int:
+    """Bands to split ``rows`` rows into: one per usable core, at most
+    ``_MAX_BANDS``, with at least ``_STRIP_ROWS`` rows in each, and at
+    least one."""
+    return max(1, min(_usable_cores(), _MAX_BANDS, rows // _STRIP_ROWS))
+
+
+@cache
+def _share_the_heap() -> None:
+    """Have every thread allocate from the calling thread's malloc heap:
+    glibc's ``M_ARENA_MAX`` of 1, set once, before the first band thread.
+
+    glibc gives each new thread an arena of its own on its first
+    allocation, which reserves 64 MiB of address space, more than a
+    2,500x2,500 image can spare under a 250 MiB ``RLIMIT_AS``, and keeps
+    the buffers that thread frees out of reach of the calling thread's
+    later allocations.  Other C libraries are left as they are.
+    """
+    if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}):
+        import ctypes
+        ctypes.CDLL(None).mallopt(-8, 1)  # -8 is M_ARENA_MAX
 
 
 def _in_bands(work: Callable[[int, int], object], start: int, stop: int) -> list:
@@ -191,8 +218,9 @@ def _in_bands(work: Callable[[int, int], object], start: int, stop: int) -> list
     return the results in band order.
 
     The calling thread runs the first band and a thread each runs the rest;
-    numpy drops the GIL inside its loops, so the bands share the cores.  A
-    band whose thread cannot start runs on the calling thread.  An exception
+    numpy drops the GIL inside its loops, so the bands share the cores, and
+    every thread allocates from the calling thread's heap.  A band whose
+    thread cannot start runs on the calling thread.  An exception
     in any band, MemoryError included, is raised here once every band has
     stopped.
     """
@@ -209,6 +237,8 @@ def _in_bands(work: Callable[[int, int], object], start: int, stop: int) -> list
             failures.append(exc)
 
     threads, mine = [], [0]
+    if len(bands) > 1:
+        _share_the_heap()
     try:
         for k in range(1, len(bands)):
             thread = threading.Thread(target=run, args=(k,))
@@ -278,7 +308,9 @@ def _correlate(src: np.ndarray, taps: list[tuple[int, int, float]], out: np.ndar
                term: np.ndarray) -> None:
     """Set ``out[y, x]`` to the sum of ``t * src[y + dy, x + dx]`` over the
     taps ``(dy, dx, t)``, added in tap order to +0.0; ``term`` is scratch of
-    ``out``'s shape.
+    ``out``'s shape.  The strip passes hand it one-row views of rows laid
+    end to end, with ``dx`` the flat offset of a tap, so that each tap is
+    one contiguous call rather than one per row.
 
     A tap of +-1 adds or subtracts its window, which is exact, as ``a - b``
     is ``a + (-b)`` down to signed zeros.  The first tap needs no pass over
@@ -308,37 +340,47 @@ def _smooth_strips(padded: np.ndarray, taps: np.ndarray, start: int, stop: int,
     plane that ``padded`` holds with a symmetric-reflect border as wide as
     the taps' radius, as float64, fixed left-to-right tap order, one strip
     of at most ``_STRIP_ROWS`` rows at a time.  Each strip after the first
-    is led by the ``halo`` smoothed rows before it.
+    is led by the ``halo`` smoothed rows before it.  A yielded row is as
+    wide as ``padded``: its first columns, as many as the plane has, are
+    the smoothing, and the 2r after them, for a kernel radius r, scratch.
 
-    The row pass reads the padded source a strip at a time into a ring of
-    ``2r + _STRIP_ROWS`` rows for a kernel radius r, widening each sample as
-    it multiplies it.  A strip's column pass reads the 2r rows after it too,
-    so the ring carries its last 2r rows to the next strip.  Every value
-    sums the same products in the same order as a whole-plane pass, so the
-    bits depend on neither the strip height nor the rows asked for.  A
-    yielded strip is a view that the next one overwrites.
+    Both passes run over a strip's rows laid end to end, so each tap is one
+    contiguous multiply and add; the scratch columns take the sums that
+    straddle two rows.  The row pass widens the padded source a strip at a
+    time and writes a ring of ``2r + _STRIP_ROWS`` rows.  A strip's column
+    pass reads the 2r rows after it too, so the ring carries its last 2r
+    rows to the next strip.  Every value sums the same products in the same
+    order as a whole-plane pass, so the bits depend on neither the strip
+    height nor the rows asked for.  A yielded strip is a view that the next
+    one overwrites.
     """
     import numpy as np
     radius = len(taps) // 2
-    w = padded.shape[1] - 2 * radius
+    width = padded.shape[1]
     span = min(_STRIP_ROWS, stop - start)
     across = [(0, i, float(t)) for i, t in enumerate(taps)]
-    down = [(i, 0, float(t)) for i, t in enumerate(taps)]
-    ring = np.empty((2 * radius + span, w))
-    term = np.empty_like(ring)
-    out = np.empty((halo + span, w))
+    down = [(0, i * width, float(t)) for i, t in enumerate(taps)]
+    wide = np.empty((2 * radius + span) * width)
+    # no pass writes the scratch columns of a strip's last ring row, which
+    # the column pass reads: zeros keep them finite
+    ring = np.zeros_like(wide)
+    term = np.empty_like(wide)
+    out = np.empty((halo + span) * width)
     for y0 in range(start, stop, span):
         n = min(span, stop - y0)
         # ring row i holds the row pass of padded row y0 + i; the rows after
         # the 2r carried from the last strip are new
-        new = slice(2 * radius if y0 > start else 0, 2 * radius + n)
-        _correlate(padded[y0 : y0 + 2 * radius + n][new], across, ring[new], term[new])
-        _correlate(ring, down, out[halo : halo + n], term[:n])
-        yield out[halo if y0 == start else 0 : halo + n]
+        a, b = (2 * radius if y0 > start else 0) * width, (2 * radius + n) * width
+        wide[a:b] = padded[y0 : y0 + 2 * radius + n].reshape(-1)[a:]
+        new = slice(a, b - 2 * radius)
+        _correlate(wide[None, a:b], across, ring[None, new], term[None, new])
+        rows = slice(halo * width, (halo + n) * width)
+        _correlate(ring[None], down, out[None, rows], term[None, : n * width])
+        yield out[(halo if y0 == start else 0) * width : rows.stop].reshape(-1, width)
         # numpy copies through a buffer where the carried rows overlap their
         # own copy, as they do once 2r exceeds the strip
-        ring[: 2 * radius] = ring[n : n + 2 * radius]
-        out[:halo] = out[n : n + halo]
+        ring[: 2 * radius * width] = ring[n * width : (n + 2 * radius) * width]
+        out[: halo * width] = out[n * width : (n + halo) * width]
 
 
 def _padded_taps(img: RasterImage, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +407,7 @@ def gaussian_smooth(img: RasterImage, sigma: float) -> RasterImage:
             strip += 0.5
             np.floor(strip, out=strip)
             np.clip(strip, 0, 255, out=strip)
-            smooth[y : y + len(strip)] = strip
+            smooth[y : y + len(strip)] = strip[:, : img.width]
             y += len(strip)
 
     _in_bands(band, 0, img.height)
@@ -421,26 +463,35 @@ def _suppress(mag: np.ndarray, keep: np.ndarray, y: int, bins: np.ndarray,
     """Non-maximum suppression of rows [y, y + len(bins)) of ``mag``, at its
     interior columns, into ``keep``: a pixel is kept when its magnitude
     exceeds that of its neighbor before it along the direction of its bin
-    in ``bins`` and ties or exceeds that of the neighbor after it, so the
-    earlier of two exactly tied neighbors survives.
+    and ties or exceeds that of the neighbor after it, so the earlier of two
+    exactly tied neighbors survives.
 
-    ``votes`` is bool scratch of shape (3, 4, k, w - 2), k >= len(bins):
-    per bin, whether a pixel is in it, beats the neighbor before and holds
-    against the one after.  Twelve tests into one buffer and three calls to
-    combine them make fewer and larger numpy calls than a mask per test, so
-    bands hand the GIL to each other less often.
+    The rows run laid end to end, from column 1 of row y to column w - 2 of
+    the last, so each test is one contiguous call.  ``bins`` is int8 of
+    shape (len(bins), w): a row holds the bins of its w - 2 interior pixels,
+    then two values for the border pixels between it and the next row.
+    Their magnitude is the zero border's, which exceeds no neighbor's, so
+    they stay unkept whatever their bin.  ``votes`` is bool scratch of
+    shape (3, 4, k), k >= len(bins) * w - 2: per bin, whether a pixel is in
+    it, beats the neighbor before and holds against the one after.  Twelve
+    tests into one buffer and three calls to combine them make fewer and
+    larger numpy calls than a mask per test, so bands hand the GIL to each
+    other less often.
     """
     import numpy as np
-    n, w = len(bins), mag.shape[1]
-    center = mag[y : y + n, 1 : w - 1]
-    votes = votes[:, :, :n]
-    np.equal(bins, np.arange(4, dtype=bins.dtype)[:, None, None], out=votes[0])
+    w = mag.shape[1]
+    size, at = max(len(bins) * w - 2, 0), y * w + 1
+    flat = mag.reshape(-1)
+    center = flat[at : at + size]
+    votes = votes[:, :, :size]
+    np.equal(bins.reshape(-1)[:size], np.arange(4, dtype=bins.dtype)[:, None], out=votes[0])
     for b, (dr, dc) in enumerate(_FORWARD_STEPS):
-        np.greater(center, mag[y - dr : y + n - dr, 1 - dc : w - 1 - dc], out=votes[1, b])
-        np.greater_equal(center, mag[y + dr : y + n + dr, 1 + dc : w - 1 + dc], out=votes[2, b])
+        step = dr * w + dc
+        np.greater(center, flat[at - step : at - step + size], out=votes[1, b])
+        np.greater_equal(center, flat[at + step : at + step + size], out=votes[2, b])
     np.logical_and(votes[0], votes[1], out=votes[0])
     np.logical_and(votes[0], votes[2], out=votes[0])
-    np.logical_or.reduce(votes[0], axis=0, out=keep[y : y + n, 1 : w - 1])
+    np.logical_or.reduce(votes[0], axis=0, out=keep.reshape(-1)[at : at + size])
 
 
 def _edge_band(blocks: Iterator[np.ndarray], mag: np.ndarray, keep: np.ndarray,
@@ -448,8 +499,8 @@ def _edge_band(blocks: Iterator[np.ndarray], mag: np.ndarray, keep: np.ndarray,
     """Sobel gradient magnitude of rows [start, stop) of an interior band
     into the zeroed ``mag``, and their non-maximum suppression into the
     zeroed ``keep``.  ``blocks`` yields the smoothed rows [start - 1,
-    stop + 1) as consecutive strips, each after the first led by the two
-    rows before it.
+    stop + 1) as consecutive C-contiguous strips, each after the first led
+    by the two rows before it; columns past the plane's width are scratch.
 
     Sobel, magnitude, direction and suppression of a strip are done while
     its gradients are in cache, and no whole-plane gradient or direction
@@ -461,26 +512,30 @@ def _edge_band(blocks: Iterator[np.ndarray], mag: np.ndarray, keep: np.ndarray,
     import numpy as np
     h, w = mag.shape
     span = min(_STRIP_ROWS, stop - start)
-    sobel = np.empty((3, span, w - 2), dtype=np.float64)
-    gx_buf, gy_buf, term_buf = sobel
-    # suppression's twelve tests per pixel fit in the Sobel buffers, which
-    # are free once a strip's direction bins are done
-    votes = sobel.reshape(-1).view(bool)[: 12 * (span + 1) * (w - 2)]
-    votes = votes.reshape(3, 4, span + 1, w - 2)
-    # row i holds the bins of row y - 1 + i for the strip at y; row 0
-    # carries the last row of the strip before
-    bins = np.empty((span + 1, w - 2), dtype=np.int8)
+    votes = np.empty((3, 4, (span + 1) * w), dtype=bool)
+    # row i holds the bins of row y - 1 + i for the strip at y, laid out as
+    # _suppress reads them; row 0 carries the last row of the strip before
+    bins = np.zeros((span + 1, w), dtype=np.int8)
     # rows [lo, hi) have both neighbor rows in the band or on the zero border
     lo, hi = start + (start > 1), stop - (stop < h - 1)
     seams = []
     y = start
     for block in blocks:
-        n = len(block) - 2
-        gx, gy = gx_buf[:n], gy_buf[:n]
-        for taps, g in zip(_SOBEL_TAPS, (gx, gy)):
-            _correlate(block, taps, g, term_buf[:n])
+        n, width = len(block) - 2, block.shape[1]
+        if y == start:
+            # Sobel runs over a strip's rows laid end to end, as smoothing
+            # does: the gradient of row j, column x is at j * width + x, and
+            # past a row's first w - 2 columns lies scratch
+            sobel = [[(0, dy * width + dx, t) for dy, dx, t in taps] for taps in _SOBEL_TAPS]
+            gx_buf, gy_buf, term_buf = np.empty((3, span * width))
+            dirs = np.empty(span * width, dtype=np.int8)
+        size = n * width - 2
+        for taps, g in zip(sobel, (gx_buf, gy_buf)):
+            _correlate(block.reshape(1, -1), taps, g[None, :size], term_buf[None, :size])
+        gx, gy = (g[: n * width].reshape(n, width)[:, : w - 2] for g in (gx_buf, gy_buf))
         np.hypot(gx, gy, out=mag[y : y + n, 1 : w - 1])
-        _direction_bins(gx, gy, bins[1 : n + 1])
+        _direction_bins(gx_buf[:size], gy_buf[:size], dirs[:size])
+        bins[1 : n + 1, : w - 2] = dirs[: n * width].reshape(n, width)[:, : w - 2]
         if y == start and lo > start:
             seams.append((start, bins[1].copy()))
         if y + n == stop and hi < stop:
@@ -499,7 +554,8 @@ def _gradients(strips: Callable[[int, int], Iterator[np.ndarray]], h: int,
     """Sobel gradient magnitude with a zero border, and the mask of the
     interior pixels that non-maximum suppression keeps, of the h x w plane
     whose rows [a, b) ``strips(a, b)`` yields as consecutive strips, each
-    after the first led by the two rows before it.  The interior rows run in
+    after the first led by the two rows before it, in the layout
+    ``_edge_band`` takes.  The interior rows run in
     bands, and the rows at band seams are suppressed after the join."""
     import numpy as np
     mag = np.zeros((h, w), dtype=np.float64)
@@ -510,7 +566,7 @@ def _gradients(strips: Callable[[int, int], Iterator[np.ndarray]], h: int,
 
         for seams in _in_bands(band, 1, h - 1):
             for y, bins in seams:
-                _suppress(mag, keep, y, bins[None], np.empty((3, 4, 1, w - 2), dtype=bool))
+                _suppress(mag, keep, y, bins[None], np.empty((3, 4, w - 2), dtype=bool))
     return mag, keep
 
 

@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -640,13 +643,16 @@ def test_strip_smoothing_and_candidate_directions_keep_the_bits(
     arr = _test_image(kind, h, w, 1, seed)
     plane = arr.astype(np.float64)
     want = _whole_plane_smooth_float(plane, sigma)
-    # each strip is checked before the next one overwrites it, halo included
+    # each strip is checked before the next one overwrites it, halo included;
+    # its rows are as wide as the padded plane, and their first w columns
+    # are the smoothing
     taps = _gaussian_taps(sigma)
     padded = np.pad(plane, len(taps) // 2, mode="symmetric")
     y = 0
     for strip in _smooth_strips(padded, taps, 0, h, halo=2):
         lead = min(y, 2)
-        assert strip.tobytes() == want[y - lead : y - lead + len(strip)].tobytes()
+        assert strip.shape[1] == padded.shape[1]
+        assert strip[:, :w].tobytes() == want[y - lead : y - lead + len(strip)].tobytes()
         y += len(strip) - lead
     assert y == h
     smoothed = np.floor(want + 0.5).clip(0, 255).astype(np.uint8)
@@ -716,9 +722,13 @@ def _traced_peak_mib(stage, *args) -> float:
     pytest.param(canny_edges, 1, (0.1, 0.3, 1.4), 20, id="canny"),
     pytest.param(to_grayscale, 3, (), 6, id="luma"),
 ])
-def test_raster_stages_run_in_bounded_memory(stage, channels, args, limit_mib):
+def test_raster_stages_run_in_bounded_memory(stage, channels, args, limit_mib, monkeypatch):
     # a 1024x1024 float64 plane is 8 MiB; the whole-plane passes peaked at
-    # 24.6 MiB in smoothing, 28.8 in Canny and 48.0 in luma on this image
+    # 24.6 MiB in smoothing, 28.8 in Canny and 48.0 in luma on this image.
+    # Each band holds its own strip buffers, so the stages run in as many
+    # bands as any host would give them.
+    monkeypatch.setattr(raster, "_usable_cores", lambda: 64)
+    assert raster._band_count(1024) == raster._MAX_BANDS
     img = RasterImage.from_array(_test_image("noise", 1024, 1024, channels, seed=0))
     assert _traced_peak_mib(stage, img, *args) <= limit_mib
 
@@ -784,6 +794,35 @@ def test_a_band_whose_thread_cannot_start_runs_on_the_caller(monkeypatch):
     smoothed = np.floor(_whole_plane_smooth_float(arr.astype(np.float64), 1.4) + 0.5)
     assert gaussian_smooth(gray(arr), 1.4).samples == smoothed.astype(np.uint8).tobytes()
     assert canny_edges(gray(arr), 0.1, 0.3).samples == _every_pixel_direction_canny(arr, 0.1, 0.3, 1.4)
+
+
+_BAND_THREAD_VM = """
+import re
+import numpy as np
+from dface import raster
+raster._band_count = lambda rows: 2
+def vm_peak_kib():
+    return int(re.search(r"VmPeak:\\s+(\\d+)", open("/proc/self/status").read())[1])
+img = raster.RasterImage.from_array(np.zeros((100, 40), dtype=np.uint8))
+before = vm_peak_kib()
+raster.canny_edges(img, 0.1, 0.3)
+print(vm_peak_kib() - before)
+"""
+
+
+def test_a_band_thread_allocates_from_the_callers_heap():
+    # glibc would give the band thread an arena of its own, which reserves
+    # 64 MiB of address space (128 MiB while it aligns it) on the thread's
+    # first allocation; what is left is the thread's stack
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+        pytest.skip("glibc's malloc arenas only")
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(raster.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _BAND_THREAD_VM], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 32 << 10  # KiB
 
 
 D4 = elements(4)
