@@ -304,13 +304,13 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-def _correlate(src: np.ndarray, taps: list[tuple[int, int, float]], out: np.ndarray,
+def _correlate(src: np.ndarray, taps: list[tuple[int, float]], out: np.ndarray,
                term: np.ndarray) -> None:
-    """Set ``out[y, x]`` to the sum of ``t * src[y + dy, x + dx]`` over the
-    taps ``(dy, dx, t)``, added in tap order to +0.0; ``term`` is scratch of
-    ``out``'s shape.  The strip passes hand it one-row views of rows laid
-    end to end, with ``dx`` the flat offset of a tap, so that each tap is
-    one contiguous call rather than one per row.
+    """Set ``out[i]`` to the sum of ``t * src[i + k]`` over the taps
+    ``(k, t)``, added in tap order to +0.0; ``term`` is scratch of ``out``'s
+    length.  The strip passes lay a strip's rows end to end, so a tap at row
+    dy and column dx of rows ``width`` long is at k = dy * width + dx, and
+    each tap is one contiguous call rather than one per row.
 
     A tap of +-1 adds or subtracts its window, which is exact, as ``a - b``
     is ``a + (-b)`` down to signed zeros.  The first tap needs no pass over
@@ -319,15 +319,15 @@ def _correlate(src: np.ndarray, taps: list[tuple[int, int, float]], out: np.ndar
     smoothing taps and sources are never negative, so theirs never is.
     """
     import numpy as np
-    h, w = out.shape
-    for k, (dy, dx, t) in enumerate(taps):
-        window = src[dy : dy + h, dx : dx + w]
-        prior = out if k else 0.0
+    n = len(out)
+    for j, (k, t) in enumerate(taps):
+        window = src[k : k + n]
+        prior = out if j else 0.0
         if t == 1.0:
             np.add(prior, window, out=out)
         elif t == -1.0:
             np.subtract(prior, window, out=out)
-        elif k:
+        elif j:
             np.multiply(window, t, out=term)
             out += term
         else:
@@ -358,8 +358,8 @@ def _smooth_strips(padded: np.ndarray, taps: np.ndarray, start: int, stop: int,
     radius = len(taps) // 2
     width = padded.shape[1]
     span = min(_STRIP_ROWS, stop - start)
-    across = [(0, i, float(t)) for i, t in enumerate(taps)]
-    down = [(0, i * width, float(t)) for i, t in enumerate(taps)]
+    across = [(i, float(t)) for i, t in enumerate(taps)]
+    down = [(i * width, float(t)) for i, t in enumerate(taps)]
     wide = np.empty((2 * radius + span) * width)
     # no pass writes the scratch columns of a strip's last ring row, which
     # the column pass reads: zeros keep them finite
@@ -373,9 +373,9 @@ def _smooth_strips(padded: np.ndarray, taps: np.ndarray, start: int, stop: int,
         a, b = (2 * radius if y0 > start else 0) * width, (2 * radius + n) * width
         wide[a:b] = padded[y0 : y0 + 2 * radius + n].reshape(-1)[a:]
         new = slice(a, b - 2 * radius)
-        _correlate(wide[None, a:b], across, ring[None, new], term[None, new])
+        _correlate(wide[a:b], across, ring[new], term[new])
         rows = slice(halo * width, (halo + n) * width)
-        _correlate(ring[None], down, out[None, rows], term[None, : n * width])
+        _correlate(ring, down, out[rows], term[: n * width])
         yield out[(halo if y0 == start else 0) * width : rows.stop].reshape(-1, width)
         # numpy copies through a buffer where the carried rows overlap their
         # own copy, as they do once 2r exceeds the strip
@@ -526,12 +526,12 @@ def _edge_band(blocks: Iterator[np.ndarray], mag: np.ndarray, keep: np.ndarray,
             # Sobel runs over a strip's rows laid end to end, as smoothing
             # does: the gradient of row j, column x is at j * width + x, and
             # past a row's first w - 2 columns lies scratch
-            sobel = [[(0, dy * width + dx, t) for dy, dx, t in taps] for taps in _SOBEL_TAPS]
+            sobel = [[(dy * width + dx, t) for dy, dx, t in taps] for taps in _SOBEL_TAPS]
             gx_buf, gy_buf, term_buf = np.empty((3, span * width))
             dirs = np.empty(span * width, dtype=np.int8)
         size = n * width - 2
         for taps, g in zip(sobel, (gx_buf, gy_buf)):
-            _correlate(block.reshape(1, -1), taps, g[None, :size], term_buf[None, :size])
+            _correlate(block.reshape(-1), taps, g[:size], term_buf[:size])
         gx, gy = (g[: n * width].reshape(n, width)[:, : w - 2] for g in (gx_buf, gy_buf))
         np.hypot(gx, gy, out=mag[y : y + n, 1 : w - 1])
         _direction_bins(gx_buf[:size], gy_buf[:size], dirs[:size])

@@ -513,10 +513,13 @@ def _mod_bins(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("h", [3, 4, _STRIP_ROWS + 1, _STRIP_ROWS + 2, 2 * _STRIP_ROWS + 1])
 @pytest.mark.parametrize("kernel", [_SOBEL_X, _SOBEL_Y])
 def test_strip_sobel_keeps_the_bits(h, kernel):
-    # every value and every sign bit must match the whole-plane pass
+    # every value and every sign bit must match the whole-plane pass; the
+    # rows run laid end to end, and the last two columns of each are scratch
     plane = _signed_zero_plane(h)
-    got = np.empty((h - 2, 35))
-    _correlate(plane, _SOBEL_TAPS[(_SOBEL_X, _SOBEL_Y).index(kernel)], got, np.empty_like(got))
+    taps = [(dy * 37 + dx, t) for dy, dx, t in _SOBEL_TAPS[(_SOBEL_X, _SOBEL_Y).index(kernel)]]
+    got = np.empty((h - 2) * 37)
+    _correlate(plane.reshape(-1), taps, got[:-2], np.empty(len(got) - 2))
+    got = got.reshape(h - 2, 37)[:, :35]
     want = _whole_plane_convolve3(plane, kernel)[1:-1, 1:-1]
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert got.tobytes() == want.tobytes()
