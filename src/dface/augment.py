@@ -14,26 +14,23 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .dihedral import GroupElement, element_name, elements, matrix_of
 from .errors import DfaceError, RasterShapeError
 from .face import POINT_COUNT, FaceFrame, counterpart, load_frame, save_frame
+from .formatting import np
 from .raster import RasterImage, read_image, write_image
 from .record import record
 
-if TYPE_CHECKING:
-    import numpy as np
-
 
 def _permute(g: GroupElement, arr: np.ndarray) -> np.ndarray:
-    """Rotate counterclockwise k quarter turns, then flip horizontally if g
-    reflects.  ``matrix_of`` refuses an element outside D4."""
-    import numpy as np
-    matrix_of(g)
-    out = np.rot90(arr, g.rotation_k)
-    if g.reflection_j:
-        out = np.fliplr(out)
+    """The permutation that g's matrix M makes of the pixel lattice: the
+    output at (x, y) shows the input at M^-1 (x, y), y up.  A diagonal M
+    flips the columns where it negates x and the rows where it negates y; a
+    quarter turn transposes, then flips.  ``matrix_of`` refuses an element
+    outside D4."""
+    (a, b), (c, d) = matrix_of(g).entries
+    out = arr[::d, ::a] if b == 0 else arr.swapaxes(0, 1)[::-c, ::-b]
     return np.ascontiguousarray(out)
 
 
@@ -72,7 +69,6 @@ def act_on_keypoints(
 def transform_kernel(g: GroupElement, kernel: np.ndarray) -> np.ndarray:
     """Same index permutation as the image action, applied to a square
     odd-sized convolution kernel; entry sum is preserved exactly."""
-    import numpy as np
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise RasterShapeError(f"kernel must be square, got shape {k.shape}")

@@ -13,7 +13,6 @@ import functools
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .augment import act_on_image, augment_dataset, kernel_bank, manifest_csv, orbit
 from .aus import (
@@ -30,7 +29,7 @@ from .dihedral import (
 )
 from .errors import DfaceError, DomainError, InsufficientPairsError, SchemaError, UsageError
 from .face import FrameSequence, load_frame, load_sequence, serialize_frame
-from .formatting import ascii_int, finite, fmt, ordered_mean, read_text
+from .formatting import ascii_int, finite, fmt, np, ordered_mean, read_text
 from .overlay import render_overlay
 from .raster import (
     bounding_rect,
@@ -51,9 +50,6 @@ from .symmetry import (
     report_csv,
     structural_asymmetry,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Largest n that `cayley` and `verify` accept: both do O(n^2) work, about
 # 0.17 s end to end at 256 and over a second in-process at 1024.
@@ -120,7 +116,6 @@ def _cmd_orbit(args, config: Config) -> int:
 
 
 def _parse_kernel(text: str) -> np.ndarray:
-    import numpy as np
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -311,12 +306,14 @@ def _cmd_report(args, config: Config) -> int:
             rows.append(f"{i},{fmt(structural)},{fmt(cumulative)}")
         (outdir / "asymmetry.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-        # Fill the neutral frame once here, not once per detect_active_aus call.
+        # Fill the neutral frame once here, not once per detect_active_aus
+        # call, and each expression frame about the midline fit above.
         if not neutral.complete:
             neutral = reconstruct_occluded(neutral)
         rows = ["frame,label,score"]
         for i, frame in enumerate(seq.frames):
-            acts = detect_active_aus(neutral, frame, threshold=config.au_threshold)
+            expr = frame if frame.complete else reconstruct_occluded(frame, axes[i])
+            acts = detect_active_aus(neutral, expr, threshold=config.au_threshold)
             result = classify_emotion(acts, config.tie_order)
             score = fmt(result.ranking[0][1]) if result.ranking else ""
             rows.append(f"{i},{result.label},{score}")

@@ -1,7 +1,8 @@
 """One float format and one float mean for every text artifact, so reruns
 are byte-identical; one reader each for text files and INI files; one
-check each for "a finite number" and "ASCII decimal digits"; and one way
-to show a refused value in an error message.
+check each for "a finite number" and "ASCII decimal digits"; one way to
+show a refused value in an error message; and ``np``, the one handle
+through which the package loads numpy.
 
 The one deliberate exception is ``dface classify``, which prints emotion
 scores with ``%.3f`` (``Happiness,1.000,rank=1``); changing it would change
@@ -89,3 +90,21 @@ def read_ini(text: str, source: str, error: type[Exception], name: str,
         return {(s, k): cp.get(s, k) for s, k in keys if cp.has_option(s, k)}
     except configparser.Error as exc:
         raise error(f"malformed {name}: {exc}") from None
+
+
+class _Numpy:
+    """numpy, imported on the first attribute read rather than at start-up,
+    which it would slow by about 100 ms for the commands that never use it.
+
+    Each attribute read is stored on the handle, so only the first read of a
+    name comes here; threads that race on it store the same object.
+    """
+
+    def __getattr__(self, name: str):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()

@@ -17,13 +17,11 @@ from sys import float_info, maxsize
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ImageFormatError, RasterShapeError
-from .formatting import ascii_int, shown
+from .formatting import ascii_int, np, shown
 from .record import record
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterator
-
-    import numpy as np
 
 
 def _check_ints(*geometry) -> None:
@@ -57,7 +55,6 @@ class RasterImage:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "RasterImage":
-        import numpy as np
         a = np.asarray(arr)
         if a.ndim == 2:
             channels = 1
@@ -76,7 +73,6 @@ class RasterImage:
 
     def array(self) -> np.ndarray:
         """Read-only uint8 view, shape (h, w) or (h, w, 3)."""
-        import numpy as np
         a = np.frombuffer(self.samples, dtype=np.uint8)
         if self.channels == 1:
             return a.reshape(self.height, self.width)
@@ -260,7 +256,6 @@ def _in_bands(work: Callable[[int, int], object], start: int, stop: int) -> list
 
 def to_grayscale(img: RasterImage) -> RasterImage:
     """Integer luma 0.299 R + 0.587 G + 0.114 B; a no-op on gray input."""
-    import numpy as np
     if img.channels == 1:
         return img
     rgb = img.array()
@@ -297,7 +292,6 @@ def check_thresholds(low: float, high: float) -> None:
 
 
 def _gaussian_taps(sigma: float) -> np.ndarray:
-    import numpy as np
     radius = ceil(3.0 * sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(xs ** 2) / (2.0 * sigma * sigma))
@@ -318,7 +312,6 @@ def _correlate(src: np.ndarray, taps: list[tuple[int, float]], out: np.ndarray,
     product, which keeps the bits unless that product is -0.0.  The
     smoothing taps and sources are never negative, so theirs never is.
     """
-    import numpy as np
     n = len(out)
     for j, (k, t) in enumerate(taps):
         window = src[k : k + n]
@@ -354,7 +347,6 @@ def _smooth_strips(padded: np.ndarray, taps: np.ndarray, start: int, stop: int,
     height nor the rows asked for.  A yielded strip is a view that the next
     one overwrites.
     """
-    import numpy as np
     radius = len(taps) // 2
     width = padded.shape[1]
     span = min(_STRIP_ROWS, stop - start)
@@ -387,14 +379,12 @@ def _padded_taps(img: RasterImage, sigma: float) -> tuple[np.ndarray, np.ndarray
     """The uint8 samples of ``img`` padded, symmetric-reflect, by the radius
     of the Gaussian taps of ``sigma``, and those taps: the source and the
     kernel that every band of ``_smooth_strips`` reads."""
-    import numpy as np
     taps = _gaussian_taps(sigma)
     # padding the narrow samples, not widened ones, moves an eighth of the bytes
     return np.pad(img.array(), len(taps) // 2, mode="symmetric"), taps
 
 
 def gaussian_smooth(img: RasterImage, sigma: float) -> RasterImage:
-    import numpy as np
     if img.channels != 1:
         raise RasterShapeError("smoothing expects a single-channel image")
     check_sigma(sigma)
@@ -448,7 +438,6 @@ def _direction_bins(gx: np.ndarray, gy: np.ndarray, out: np.ndarray) -> None:
     its cost: the two differ only at pi and -0.0, and both land in bin 0.
     No step takes a ``where=`` mask, which would cost numpy's SIMD loops.
     """
-    import numpy as np
     angle = np.arctan2(gy, gx, out=gx)
     np.multiply(angle < 0.0, np.pi, out=gy)
     angle += gy
@@ -478,7 +467,6 @@ def _suppress(mag: np.ndarray, keep: np.ndarray, y: int, bins: np.ndarray,
     larger numpy calls than a mask per test, so bands hand the GIL to each
     other less often.
     """
-    import numpy as np
     w = mag.shape[1]
     size, at = max(len(bins) * w - 2, 0), y * w + 1
     flat = mag.reshape(-1)
@@ -509,7 +497,6 @@ def _edge_band(blocks: Iterator[np.ndarray], mag: np.ndarray, keep: np.ndarray,
     neighbor row belongs to another band is left to the caller, once every
     band has its magnitude: it is returned with its direction bins.
     """
-    import numpy as np
     h, w = mag.shape
     span = min(_STRIP_ROWS, stop - start)
     votes = np.empty((3, 4, (span + 1) * w), dtype=bool)
@@ -557,7 +544,6 @@ def _gradients(strips: Callable[[int, int], Iterator[np.ndarray]], h: int,
     after the first led by the two rows before it, in the layout
     ``_edge_band`` takes.  The interior rows run in
     bands, and the rows at band seams are suppressed after the join."""
-    import numpy as np
     mag = np.zeros((h, w), dtype=np.float64)
     keep = np.zeros((h, w), dtype=bool)
     if h > 2 and w > 2:
@@ -585,7 +571,6 @@ def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
     every node points at its root.  Parent ids only ever fall, so it
     terminates.
     """
-    import numpy as np
     w = weak.shape[1]
     edges = np.pad(strong, 1)
     kept = edges.ravel()  # a view, so marking it marks edges
@@ -650,7 +635,6 @@ def canny_edges(
     scan order survives, so a symmetric step yields a single edge column.
     Output is binary {0, 255} with a one-pixel zero border.
     """
-    import numpy as np
     if img.channels != 1:
         raise RasterShapeError("edge detection expects a single-channel image")
     check_thresholds(low, high)
@@ -661,10 +645,10 @@ def canny_edges(
     peak = float(mag.max())
     weak = mag >= max(low * peak, _NOISE_MAGNITUDE)
     strong = mag >= max(high * peak, _NOISE_MAGNITUDE)
-    # hysteresis runs without the magnitude and the padded source
-    del mag, padded
     weak &= keep
     strong &= keep
+    # hysteresis runs without the magnitude, the padded source and keep
+    del mag, padded, keep
 
     # keep is False on the one-pixel border, so weak and strong are too
     edges = _hysteresis(strong, weak)
@@ -673,7 +657,6 @@ def canny_edges(
 
 def bounding_rect(edges: RasterImage) -> Rect:
     """Tightest rectangle containing every nonzero pixel."""
-    import numpy as np
     if edges.channels != 1:
         raise RasterShapeError("bounding box expects a single-channel image")
     arr = edges.array()
@@ -685,7 +668,6 @@ def bounding_rect(edges: RasterImage) -> Rect:
 
 
 def crop(img: RasterImage, r: Rect) -> RasterImage:
-    import numpy as np
     if r.x0 < 0 or r.y0 < 0 or r.x1 > img.width or r.y1 > img.height:
         raise RasterShapeError(
             f"rectangle ({r.csv()}) exceeds image bounds {img.width}x{img.height}"
@@ -697,7 +679,6 @@ def crop(img: RasterImage, r: Rect) -> RasterImage:
 def pad_to_square(img: RasterImage) -> tuple[RasterImage, tuple[int, int]]:
     """Center the image on a max(w, h) square canvas of zeros; returns the
     padded image and the (left, top) offset for remapping key points."""
-    import numpy as np
     side = max(img.width, img.height)
     pad_x, pad_y = side - img.width, side - img.height
     left, top = pad_x // 2, pad_y // 2

@@ -30,7 +30,7 @@ from .face import (
     counterpart,
     interocular_distance,
 )
-from .formatting import finite, fmt, ordered_mean, shown
+from .formatting import finite, fmt, np, ordered_mean, shown
 from .record import record
 
 MIN_PAIRS = 3
@@ -85,7 +85,6 @@ def estimate_midline(frame: FaceFrame) -> MidlineAxis:
     range, or is not all zero but falls below the normal range (where it
     has lost precision), raises DegenerateFaceError, with no numpy warning.
     """
-    import numpy as np
     mids = [((lx + rx) / 2.0, (ly + ry) / 2.0)
             for _, (lx, ly), (rx, ry) in _complete_pairs(frame)]
     if len(mids) < MIN_PAIRS:

@@ -123,6 +123,30 @@ def test_image_action_inverse_round_trip():
         assert act_on_image(inverse(g), act_on_image(g, img)) == img
 
 
+def _quarter_turns_then_a_flip(g, arr):
+    # the action written without the matrix table: rotate counterclockwise
+    # k quarter turns, then flip horizontally if g reflects
+    out = np.rot90(arr, g.rotation_k)
+    return np.fliplr(out) if g.reflection_j else out
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (1, 2), (4, 7, 3), (6, 6, 3)])
+def test_image_action_matches_quarter_turns_then_a_flip(shape):
+    arr = np.random.default_rng(8).integers(0, 256, shape, dtype=np.uint8)
+    img = RasterImage.from_array(arr)
+    for g in D4:
+        got, want = act_on_image(g, img).array(), _quarter_turns_then_a_flip(g, arr)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), element_name(g)
+
+
+def test_kernel_action_matches_quarter_turns_then_a_flip():
+    k = np.random.default_rng(9).normal(size=(5, 5))
+    for g in D4:
+        got = transform_kernel(g, k)
+        assert got.flags.c_contiguous, element_name(g)
+        assert got.tobytes() == _quarter_turns_then_a_flip(g, k).tobytes(), element_name(g)
+
+
 def test_keypoint_action_identity(base_frame):
     assert act_on_keypoints(identity(4), base_frame, (100.0, 100.0)) == base_frame
 

@@ -1,19 +1,25 @@
 """The package imports nothing beyond the standard library and numpy, and
 loads numpy, hashlib, configparser and dataclasses only inside the functions
-that use them; no module imports another's private names; one function
-decodes text files, and one parses INI files."""
+that use them, numpy in one place alone: the ``formatting.np`` handle; no
+module imports another's private names; one function decodes text files,
+and one parses INI files."""
 
 import ast
 import sys
 from pathlib import Path
 
+import numpy
+
 import dface
+from dface import formatting
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "dface"}
 
 # Importing numpy or hashlib costs every command about 100 ms of start-up,
 # configparser a few ms, and dataclasses (with inspect, dis and ast) plus its
 # generated methods about 30 ms, so none is imported when a module loads.
+# Every module reaches numpy through formatting.np, which imports it on the
+# first attribute read.
 LAZY = {"numpy", "hashlib", "configparser", "dataclasses"}
 
 SOURCES = sorted(Path(dface.__file__).parent.glob("*.py"))
@@ -119,3 +125,21 @@ def test_only_the_shared_ini_reader_imports_configparser():
         if "configparser" in _imported(node)
     }
     assert importers == {"formatting.py: read_ini"}
+
+
+def test_numpy_is_imported_in_one_function():
+    # an `if TYPE_CHECKING:` import would show here as "<module>"
+    assert SOURCES
+    importers = [
+        f"{path.name}: {where}"
+        for path in SOURCES
+        for where, node in _by_function(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+        if any(name.split(".")[0] == "numpy" for name in _imported(node))
+    ]
+    assert importers == ["formatting.py: __getattr__"]
+
+
+def test_the_numpy_handle_reads_numpys_own_attributes():
+    assert formatting.np.hypot is numpy.hypot
+    assert formatting.np.ndarray is numpy.ndarray
+    assert "hypot" in vars(formatting.np)  # later reads skip __getattr__
