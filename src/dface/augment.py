@@ -12,13 +12,13 @@ permutation realizes exactly.
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from pathlib import Path
 
 from .dihedral import GroupElement, element_name, elements, matrix_of
 from .errors import DfaceError, RasterShapeError
 from .face import POINT_COUNT, FaceFrame, counterpart, load_frame, save_frame
-from .formatting import np
+from .formatting import np, write_file
 from .raster import RasterImage, read_image, write_image
 from .record import record
 
@@ -140,6 +140,22 @@ def manifest_csv(manifests: list[OrbitManifest]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_orbits(out_dir: Path, orbits: Iterable[tuple]) -> list[OrbitManifest]:
+    """Write the images each orbit lists, with moved key points where given,
+    into ``out_dir``, then ``manifest.csv`` last: a set without it is unfinished."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifests = []
+    for manifest, images, points in orbits:
+        for entry in manifest.entries:
+            path = out_dir / entry.path
+            write_file(path, write_image(images[entry.element]))
+            if entry.element in points:
+                save_frame(path.with_suffix(".csv"), points[entry.element])
+        manifests.append(manifest)
+    write_file(out_dir / "manifest.csv", manifest_csv(manifests))
+    return manifests
+
+
 def augment_dataset(
     in_dir: str | Path,
     out_dir: str | Path,
@@ -156,41 +172,33 @@ def augment_dataset(
     unless ``require_square`` makes them fatal.  The manifest is sorted by
     input name then canonical element order, so reruns are byte-identical.
     """
-    in_dir, out_dir = Path(in_dir), Path(out_dir)
     wanted = None if chosen is None else set(chosen)
     for g in wanted or ():
         matrix_of(g)  # refuses an element outside D4
     # listed before out_dir exists, so an unreadable in_dir leaves nothing behind
-    sources = sorted(p for p in in_dir.iterdir() if p.suffix.lower() in (".pgm", ".ppm"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifests = []
+    sources = sorted(p for p in Path(in_dir).iterdir() if p.suffix.lower() in (".pgm", ".ppm"))
     errors = []
-    processed = written = 0
-    for src in sources:
-        try:
-            img = read_image(src.read_bytes())
-            manifest, images = orbit(img, src.stem)
-            kept = [(g, entry) for g, entry in zip(elements(4), manifest.entries)
-                    if wanted is None or g in wanted]
-            kp_path = src.with_suffix(".csv")
-            frame = load_frame(kp_path) if kp_path.exists() else None
-            pivot = center if center is not None else ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
-            # Every element's key points move before any file is written, so
-            # a frame that one element cannot move skips the image whole.
-            moved = [None if frame is None else act_on_keypoints(g, frame, pivot)
-                     for g, _ in kept]
-        except DfaceError as exc:
-            if require_square and isinstance(exc, RasterShapeError):
-                raise
-            errors.append((src.name, str(exc)))
-            continue
-        for (_, entry), points in zip(kept, moved):
-            (out_dir / entry.path).write_bytes(write_image(images[entry.element]))
-            if points is not None:
-                save_frame((out_dir / entry.path).with_suffix(".csv"), points)
-        written += len(kept)
-        entries = tuple(entry for _, entry in kept)
-        manifests.append(OrbitManifest(manifest.source_id, entries))
-        processed += 1
-    (out_dir / "manifest.csv").write_text(manifest_csv(manifests), encoding="utf-8")
-    return AugmentSummary(processed, written, tuple(errors))
+
+    def orbits():
+        for src in sources:
+            try:
+                img = read_image(src.read_bytes())
+                manifest, images = orbit(img, src.stem)
+                kept = [(g, entry) for g, entry in zip(elements(4), manifest.entries)
+                        if wanted is None or g in wanted]
+                kp_path = src.with_suffix(".csv")
+                frame = load_frame(kp_path) if kp_path.exists() else None
+                pivot = ((img.width - 1) / 2, (img.height - 1) / 2) if center is None else center
+                # Every element's key points move before any file is written,
+                # so a frame that one element cannot move skips the image whole.
+                points = {} if frame is None else {
+                    entry.element: act_on_keypoints(g, frame, pivot) for g, entry in kept}
+            except DfaceError as exc:
+                if require_square and isinstance(exc, RasterShapeError):
+                    raise
+                errors.append((src.name, str(exc)))
+                continue
+            yield OrbitManifest(manifest.source_id, tuple(e for _, e in kept)), images, points
+
+    manifests = write_orbits(Path(out_dir), orbits())
+    return AugmentSummary(len(manifests), sum(len(m.entries) for m in manifests), tuple(errors))

@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .augment import act_on_image, augment_dataset, kernel_bank, manifest_csv, orbit
+from .augment import act_on_image, augment_dataset, kernel_bank, orbit, write_orbits
 from .aus import (
     activations_csv,
     classify_emotion,
@@ -29,7 +29,7 @@ from .dihedral import (
 )
 from .errors import DfaceError, DomainError, InsufficientPairsError, SchemaError, UsageError
 from .face import FrameSequence, load_frame, load_sequence, serialize_frame
-from .formatting import ascii_int, finite, fmt, np, ordered_mean, read_text
+from .formatting import ascii_int, finite, fmt, np, ordered_mean, read_text, write_file
 from .overlay import render_overlay
 from .raster import (
     bounding_rect,
@@ -77,7 +77,7 @@ def _write_or_stdout(data: str | bytes, output: str | None) -> None:
     """Write ``data`` to the file ``output``, else to stdout: text as text,
     bytes through its buffer, which a text-only stdout lacks."""
     if output:
-        Path(output).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        write_file(output, data)
     elif isinstance(data, str):
         sys.stdout.write(data)
     elif hasattr(sys.stdout, "buffer"):
@@ -106,12 +106,7 @@ def _cmd_transform(args, config: Config) -> int:
 
 def _cmd_orbit(args, config: Config) -> int:
     img = read_image(Path(args.image).read_bytes())
-    manifest, images = orbit(img, Path(args.image).stem)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for entry in manifest.entries:
-        (outdir / entry.path).write_bytes(write_image(images[entry.element]))
-    (outdir / "manifest.csv").write_text(manifest_csv([manifest]), encoding="utf-8")
+    write_orbits(Path(args.outdir), [(*orbit(img, Path(args.image).stem), {})])
     return 0
 
 
@@ -144,7 +139,7 @@ def _cmd_kernels(args, config: Config) -> int:
     stem = Path(args.kernel_file).stem
     for name, mat in bank:
         lines = [",".join(fmt(v) for v in row) for row in mat]
-        (outdir / f"{stem}__{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_file(outdir / f"{stem}__{name}.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -159,7 +154,7 @@ def _cmd_preprocess(args, config: Config) -> int:
     rect = bounding_rect(edges)
     square, _offset = pad_to_square(crop(gray, rect))
     if args.output:
-        Path(args.output).write_bytes(write_image(square))
+        write_file(args.output, write_image(square))
     sys.stdout.write(rect.csv() + "\n")
     return 0
 
@@ -304,12 +299,12 @@ def _cmd_report(args, config: Config) -> int:
                     # scores such movement 0 too.
                     cumulative = 0.0
             rows.append(f"{i},{fmt(structural)},{fmt(cumulative)}")
-        (outdir / "asymmetry.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_file(outdir / "asymmetry.csv", "\n".join(rows) + "\n")
 
         # Fill the neutral frame once here, not once per detect_active_aus
-        # call, and each expression frame about the midline fit above.
+        # call, and each sequence frame (frame 0 too) about its fit above.
         if not neutral.complete:
-            neutral = reconstruct_occluded(neutral)
+            neutral = reconstruct_occluded(neutral, None if args.neutral else axes[0])
         rows = ["frame,label,score"]
         for i, frame in enumerate(seq.frames):
             expr = frame if frame.complete else reconstruct_occluded(frame, axes[i])
@@ -317,13 +312,11 @@ def _cmd_report(args, config: Config) -> int:
             result = classify_emotion(acts, config.tie_order)
             score = fmt(result.ranking[0][1]) if result.ranking else ""
             rows.append(f"{i},{result.label},{score}")
-        (outdir / "classification.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_file(outdir / "classification.csv", "\n".join(rows) + "\n")
 
     if mode in ("svg", "both"):
         for i, frame in enumerate(seq.frames):
-            (outdir / f"overlay_{i}.svg").write_text(
-                render_overlay(frame, axes[i]), encoding="utf-8"
-            )
+            write_file(outdir / f"overlay_{i}.svg", render_overlay(frame, axes[i]))
     return 0
 
 

@@ -15,8 +15,6 @@ y upward, origin at the region center) and rotations are counterclockwise.
 
 from __future__ import annotations
 
-import random
-
 from .errors import DomainError, UnsupportedOrderError
 from .formatting import ascii_int, shown
 from .record import record
@@ -235,6 +233,7 @@ def verify_group_axioms(n: int) -> AxiomReport:
     if n <= _EXHAUSTIVE_ASSOC_LIMIT:
         mode, triples = "exhaustive", [(a, b, c) for a in pairs for b in pairs for c in pairs]
     else:
+        import random  # only here: it adds to every start-up
         rng = random.Random(0)
         mode, triples = "sampled", [
             (rng.choice(pairs), rng.choice(pairs), rng.choice(pairs)) for _ in range(_ASSOC_SAMPLES)

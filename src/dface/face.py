@@ -32,7 +32,7 @@ from .errors import (
     MissingPointError,
     SchemaError,
 )
-from .formatting import ascii_int, finite, fmt, ordered_mean, read_ini, read_text, shown
+from .formatting import ascii_int, finite, fmt, ordered_mean, read_ini, read_text, shown, write_file
 from .record import record
 
 
@@ -352,7 +352,7 @@ def load_frame(path: str | Path) -> FaceFrame:
 
 
 def save_frame(path: str | Path, frame: FaceFrame) -> None:
-    Path(path).write_text(serialize_frame(frame), encoding="utf-8")
+    write_file(path, serialize_frame(frame))
 
 
 @record

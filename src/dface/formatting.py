@@ -1,8 +1,8 @@
 """One float format and one float mean for every text artifact, so reruns
 are byte-identical; one reader each for text files and INI files; one
-check each for "a finite number" and "ASCII decimal digits"; one way to
-show a refused value in an error message; and ``np``, the one handle
-through which the package loads numpy.
+writer for every file; one check each for "a finite number" and "ASCII
+decimal digits"; one way to show a refused value in an error message; and
+``np``, the one handle through which the package loads numpy.
 
 The one deliberate exception is ``dface classify``, which prints emotion
 scores with ``%.3f`` (``Happiness,1.000,rank=1``); changing it would change
@@ -10,6 +10,7 @@ the bytes that command has always printed.
 """
 
 import math
+import os
 from collections.abc import Collection
 from pathlib import Path
 
@@ -66,6 +67,30 @@ def read_text(path: str | Path, error: type[Exception], subject: str = "") -> st
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{subject}not UTF-8 text: {exc.reason}") from None
+
+
+def write_file(path: str | Path, data: str | bytes) -> None:
+    """Write ``data``, text as UTF-8, to ``path`` whole or not at all, by way
+    of the sibling ``.<name>.<pid>.tmp``.  A symlink stays a link to the new
+    file; a device or a FIFO is written in place.  An error names ``path``."""
+    data = data.encode("utf-8") if isinstance(data, str) else data
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as file:
+            file.write(data)
+        return
+    target = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+    head, name = os.path.split(target)
+    temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as file:
+            file.write(data)
+        os.replace(temporary, target)
+    except BaseException as exc:
+        if os.path.lexists(temporary):
+            os.remove(temporary)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
 
 
 def read_ini(text: str, source: str, error: type[Exception], name: str,

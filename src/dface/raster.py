@@ -10,7 +10,6 @@ binary PGM (P5) and PPM (P6) with maxval 255 are supported.
 from __future__ import annotations
 
 import os
-import threading
 from functools import cache
 from math import ceil
 from sys import float_info, maxsize
@@ -220,6 +219,7 @@ def _in_bands(work: Callable[[int, int], object], start: int, stop: int) -> list
     in any band, MemoryError included, is raised here once every band has
     stopped.
     """
+    import threading  # only here: it adds to every start-up
     count = _band_count(stop - start)
     cuts = [start + (stop - start) * k // count for k in range(count + 1)]
     bands = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]

@@ -26,7 +26,7 @@ from dface.dihedral import cayley_csv
 from dface.face import PointState, build_frame, load_frame, save_frame, serialize_frame
 from dface.formatting import fmt
 from dface.raster import RasterImage, read_image, write_image
-from dface.symmetry import reconstruct_occluded, structural_asymmetry
+from dface.symmetry import estimate_midline, reconstruct_occluded, structural_asymmetry
 
 HAPPY_MOVES = {"14": (75.0, 134.0), "17": (125.0, 134.0)}
 
@@ -199,6 +199,16 @@ def test_an_empty_config_environment_means_no_config_file(capsys, monkeypatch):
     assert (code, err) == (0, "") and out.startswith("e,")
 
 
+def _dface(argv, hook=None, **env) -> subprocess.CompletedProcess:
+    """``python -m dface *argv`` in a fresh interpreter that loads this
+    package, reads no config file and has ``env`` added to its environment;
+    ``hook`` runs in the child before the interpreter starts."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dface.__file__).parents[1]), **env)
+    env.pop("DFACE_CONFIG", None)
+    return subprocess.run([sys.executable, "-m", "dface", *map(str, argv)], env=env,
+                          preexec_fn=hook, capture_output=True, text=True, timeout=60)
+
+
 def _capped_preprocess(tmp_path, side: int) -> tuple[subprocess.CompletedProcess, Path]:
     """A fresh ``dface preprocess`` of a side x side noise PGM with its
     address space capped at 250 MiB, and the path of its output."""
@@ -211,12 +221,7 @@ def _capped_preprocess(tmp_path, side: int) -> tuple[subprocess.CompletedProcess
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    env = dict(os.environ, PYTHONPATH=str(Path(dface.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1")
-    env.pop("DFACE_CONFIG", None)
-    proc = subprocess.run([sys.executable, "-m", "dface", "preprocess", str(src), "-o", str(dst)],
-                          env=env, preexec_fn=cap_address_space, capture_output=True,
-                          text=True, timeout=60)
+    proc = _dface(["preprocess", src, "-o", dst], cap_address_space, OPENBLAS_NUM_THREADS="1")
     return proc, dst
 
 
@@ -247,16 +252,103 @@ def test_preprocess_bytes_do_not_depend_on_the_cores_it_may_use(tmp_path):
     src = tmp_path / "disk.pgm"
     write_pgm(src, disk + rng.integers(-3, 4, disk.shape))
     one_cpu = {min(os.sched_getaffinity(0))}
-    env = dict(os.environ, PYTHONPATH=str(Path(dface.__file__).parents[1]))
-    env.pop("DFACE_CONFIG", None)
     runs = []
     for i, pin in enumerate((lambda: os.sched_setaffinity(0, one_cpu), None)):
         dst = tmp_path / f"out{i}.pgm"
-        proc = subprocess.run([sys.executable, "-m", "dface", "preprocess", str(src), "-o", str(dst)],
-                              env=env, preexec_fn=pin, capture_output=True, text=True, timeout=60)
+        proc = _dface(["preprocess", src, "-o", dst], pin)
         assert (proc.returncode, proc.stderr) == (0, "")
         runs.append((proc.stdout, dst.read_bytes()))
     assert runs[0] == runs[1]
+
+
+# Every command that writes files, with "{out}" for a fresh directory that
+# holds what it writes.
+_WRITING_COMMANDS = {
+    "transform": ["transform", "r", "{noise}", "-o", "{out}/out.pgm"],
+    "orbit": ["orbit", "{noise}", "{out}"],
+    "kernels": ["kernels", "{kernel}", "{out}"],
+    "preprocess": ["preprocess", "{disk}", "-o", "{out}/out.pgm"],
+    "reconstruct": ["reconstruct", "{occluded}", "-o", "{out}/out.csv"],
+    "augment": ["augment", "{images}", "{out}"],
+    "report": ["report", "{seq}", "{out}", "--report-format", "both"],
+}
+
+
+def _write_command_inputs(indir) -> dict[str, Path]:
+    """The input files of every writing command, written under ``indir``."""
+    indir.mkdir()
+    yy, xx = np.mgrid[0:40, 0:40]
+    paths = {"noise": indir / "noise.pgm", "disk": indir / "disk.pgm",
+             "kernel": indir / "sobel.csv", "occluded": indir / "occluded.csv",
+             "images": indir / "images", "seq": indir / "seq"}
+    write_pgm(paths["noise"], np.random.default_rng(3).integers(0, 256, (24, 24)))
+    write_pgm(paths["disk"], np.where((xx - 21) ** 2 + (yy - 18) ** 2 <= 100, 220, 30))
+    paths["kernel"].write_text("1,0,-1\n2,0,-2\n1,0,-1\n", encoding="utf-8")
+    write_frame(paths["occluded"], **{"2": None})
+    paths["images"].mkdir()
+    write_pgm(paths["images"] / "a.pgm", np.arange(256).reshape(16, 16))
+    write_frame(paths["images"] / "a.csv")
+    rgb = np.random.default_rng(4).integers(0, 256, (12, 12, 3), dtype=np.uint8)
+    (paths["images"] / "b.ppm").write_bytes(write_image(RasterImage.from_array(rgb)))
+    paths["seq"].mkdir()
+    write_frame(paths["seq"] / "frame_0.csv", **{"2": None})
+    for t in range(1, 20):
+        write_frame(paths["seq"] / f"frame_{t}.csv", **(HAPPY_MOVES if t % 2 else {}))
+    return paths
+
+
+@pytest.mark.parametrize("command", list(_WRITING_COMMANDS))
+def test_a_write_cut_short_leaves_whole_files_or_none(tmp_path, command):
+    # a full disk or a file size limit used to leave a truncated artifact
+    # that a later step could take for a finished one
+    resource = pytest.importorskip("resource")
+    inputs = _write_command_inputs(tmp_path / "in")
+
+    def run_into(name, hook=None):
+        out = tmp_path / name
+        out.mkdir()
+        proc = _dface([a.format(out=out, **inputs) for a in _WRITING_COMMANDS[command]], hook)
+        return proc, {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    proc, whole = run_into("whole")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    largest = max(map(len, whole.values()))
+    for cap in (0, largest // 2):
+        def limit_file_size(cap=cap):
+            resource.setrlimit(resource.RLIMIT_FSIZE, (cap, cap))
+
+        proc, left = run_into(f"capped_at_{cap}", limit_file_size)
+        assert proc.returncode == 3, cap
+        assert proc.stderr.startswith("error[io]:") and "Traceback" not in proc.stderr
+        assert [name for name in left if name.endswith(".tmp")] == []
+        assert {name: data == whole.get(name) for name, data in left.items()} == dict.fromkeys(left, True)
+
+
+def test_output_to_a_device_is_written_in_place(tmp_path, capsys):
+    src = tmp_path / "in.pgm"
+    write_pgm(src, [[1, 2], [3, 4]])
+    assert run(capsys, "transform", "r", str(src), "-o", os.devnull) == (0, "", "")
+    assert Path(os.devnull).is_char_device()
+
+
+def test_a_symlinked_output_stays_a_link_to_the_new_file(tmp_path, capsys):
+    src = tmp_path / "in.pgm"
+    write_pgm(src, [[1, 2], [3, 4]])
+    real, link = tmp_path / "real.pgm", tmp_path / "link.pgm"
+    real.write_bytes(b"old")
+    link.symlink_to(real.name)
+    assert run(capsys, "transform", "r2", str(src), "-o", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert read_image(real.read_bytes()).array().tolist() == [[4, 3], [2, 1]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm", "link.pgm", "real.pgm"]
+
+
+def test_a_failed_write_names_the_path_given(tmp_path, capsys):
+    src = tmp_path / "in.pgm"
+    write_pgm(src, [[1]])
+    dst = tmp_path / "missing" / "out.pgm"
+    assert run(capsys, "transform", "e", str(src), "-o", str(dst)) == (
+        3, "", f"error[io]: [Errno 2] No such file or directory: '{dst}'\n")
 
 
 def test_transform_missing_file(tmp_path, capsys):
@@ -967,6 +1059,30 @@ def test_report_fills_an_incomplete_neutral_frame_once(tmp_path, capsys):
     assert cls == ["frame,label,score", "0,Neutral,", *(f"{t},Happiness,1" for t in (1, 2, 3))]
 
 
+def test_report_fits_each_frame_once(tmp_path, capsys):
+    # an occluded frame 0 was fitted again when filled as the neutral frame
+    seqdir = tmp_path / "seq"
+    seqdir.mkdir()
+    write_frame(seqdir / "frame_0.csv", **{"2": None})
+    for t in (1, 2, 3):
+        write_frame(seqdir / f"frame_{t}.csv", **HAPPY_MOVES)
+    neutral = write_frame(tmp_path / "neutral.csv", **{"9": None})
+    fitted = []
+
+    def counted(frame):
+        fitted.append(frame)
+        return estimate_midline(frame)
+
+    with mock.patch("dface.cli.estimate_midline", counted), \
+            mock.patch("dface.symmetry.estimate_midline", counted):
+        assert run(capsys, "report", str(seqdir), str(tmp_path / "out")) == (0, "", "")
+        assert len(fitted) == 4
+        # a separate neutral frame keeps its own fit
+        assert run(capsys, "report", str(seqdir), str(tmp_path / "out2"),
+                   "--neutral", str(neutral)) == (0, "", "")
+        assert len(fitted) == 4 + 5
+
+
 def test_report_reruns_byte_identical(tmp_path, capsys):
     seqdir = _write_report_sequence(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -1300,9 +1416,8 @@ def test_array_free_commands_load_neither_numpy_nor_hashlib(tmp_path):
     assert numpy_after
 
 
-def _fresh_interpreter(argv, env):
-    proc = subprocess.run([sys.executable, "-m", "dface", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+def _fresh_interpreter(argv):
+    proc = _dface(argv)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -1322,11 +1437,10 @@ def test_a_reused_parser_prints_what_a_fresh_one_prints(tmp_path, capsys, monkey
     # The help width is read as help is printed, not when the parser is built.
     for columns in ("60", "120"):
         monkeypatch.setenv("COLUMNS", columns)
-        env = dict(os.environ, PYTHONPATH=str(Path(dface.__file__).parents[1]))
         for argv, code in cases:
             in_process = run(capsys, *argv)
             assert in_process[0] == code, argv
-            assert in_process == _fresh_interpreter(argv, env), (columns, argv)
+            assert in_process == _fresh_interpreter(argv), (columns, argv)
         helps.append(run(capsys, "--help")[1])
     assert helps[0] != helps[1]
 

@@ -1,8 +1,8 @@
 """The package imports nothing beyond the standard library and numpy, and
-loads numpy, hashlib, configparser and dataclasses only inside the functions
-that use them, numpy in one place alone: the ``formatting.np`` handle; no
-module imports another's private names; one function decodes text files,
-and one parses INI files."""
+loads numpy, hashlib, configparser, dataclasses, random and threading only
+inside the functions that use them, numpy in one place alone: the
+``formatting.np`` handle; no module imports another's private names; one
+function decodes text files, one writes files, and one parses INI files."""
 
 import ast
 import sys
@@ -16,11 +16,12 @@ from dface import formatting
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "dface"}
 
 # Importing numpy or hashlib costs every command about 100 ms of start-up,
-# configparser a few ms, and dataclasses (with inspect, dis and ast) plus its
-# generated methods about 30 ms, so none is imported when a module loads.
+# configparser a few ms, dataclasses (with inspect, dis and ast) plus its
+# generated methods about 30 ms, and random and threading about 0.8 and
+# 0.7 ms (python -S -X importtime), so none is imported when a module loads.
 # Every module reaches numpy through formatting.np, which imports it on the
 # first attribute read.
-LAZY = {"numpy", "hashlib", "configparser", "dataclasses"}
+LAZY = {"numpy", "hashlib", "configparser", "dataclasses", "random", "threading"}
 
 SOURCES = sorted(Path(dface.__file__).parent.glob("*.py"))
 
@@ -112,6 +113,35 @@ def test_only_the_shared_reader_decodes_text_files():
             if caught or decodes:
                 readers.add(f"{path.name}: {where}")
     assert readers == {"formatting.py: read_text"}
+
+
+def _opens_for_writing(node: ast.AST) -> bool:
+    """True for a call of ``open(file, mode)``, or of a method
+    ``.open(mode)`` or ``.open(file, mode)``, whose mode may write."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Name) and node.func.id == "open":
+        modes = node.args[1:2]
+    elif isinstance(node.func, ast.Attribute) and node.func.attr == "open":
+        modes = node.args[:2]
+    else:
+        return False
+    modes += [k.value for k in node.keywords if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+
+def test_only_the_shared_writer_writes_files():
+    # Every file reaches disk through formatting.write_file alone, so each
+    # lands whole or not at all.
+    assert SOURCES
+    writers = {
+        f"{path.name}: {where}"
+        for path in SOURCES
+        for where, node in _by_function(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+        if _opens_for_writing(node)
+        or isinstance(node, ast.Attribute) and node.attr in ("write_bytes", "write_text")
+    }
+    assert writers == {"formatting.py: write_file"}
 
 
 def test_only_the_shared_ini_reader_imports_configparser():
