@@ -172,8 +172,8 @@ _STRIP_ROWS = 48
 
 
 # Bands run at once, each with its own strip buffers: about 1.8 MiB a band in
-# smoothing and 3.8 MiB in Canny at 1024 wide.  A third band would take a
-# 1024x1024 plane to 7.3 MiB traced in smoothing and 21.3 in Canny, so the
+# smoothing and 3.1 MiB in Canny at 1024 wide.  A third band would take a
+# 1024x1024 plane to 7.3 MiB traced in smoothing and 20.5 in Canny, so the
 # scratch is capped here rather than growing with the host's cores.
 _MAX_BANDS = 2
 
@@ -482,30 +482,18 @@ def _suppress(mag: np.ndarray, keep: np.ndarray, y: int, bins: np.ndarray,
     np.logical_or.reduce(votes[0], axis=0, out=keep.reshape(-1)[at : at + size])
 
 
-def _edge_band(blocks: Iterator[np.ndarray], mag: np.ndarray, keep: np.ndarray,
-               start: int, stop: int) -> list[tuple[int, np.ndarray]]:
+def _edge_band(blocks: Iterator[np.ndarray], mag: np.ndarray, bins: np.ndarray,
+               start: int, stop: int) -> None:
     """Sobel gradient magnitude of rows [start, stop) of an interior band
-    into the zeroed ``mag``, and their non-maximum suppression into the
-    zeroed ``keep``.  ``blocks`` yields the smoothed rows [start - 1,
-    stop + 1) as consecutive C-contiguous strips, each after the first led
-    by the two rows before it; columns past the plane's width are scratch.
-
-    Sobel, magnitude, direction and suppression of a strip are done while
-    its gradients are in cache, and no whole-plane gradient or direction
-    plane is ever built.  Suppression runs one row behind Sobel, as a row
-    needs the magnitude of the row after it.  A first or last row whose
-    neighbor row belongs to another band is left to the caller, once every
-    band has its magnitude: it is returned with its direction bins.
+    into the zeroed ``mag``, and their direction bins into the int8 plane
+    ``bins``, row y's interior pixels in its columns 0..w - 3, as
+    ``_suppress`` reads them.  ``blocks`` yields the smoothed rows
+    [start - 1, stop + 1) as consecutive C-contiguous strips, each after the
+    first led by the two rows before it; columns past the plane's width are
+    scratch.  No whole-plane gradient or angle plane is ever built.
     """
-    h, w = mag.shape
+    w = mag.shape[1]
     span = min(_STRIP_ROWS, stop - start)
-    votes = np.empty((3, 4, (span + 1) * w), dtype=bool)
-    # row i holds the bins of row y - 1 + i for the strip at y, laid out as
-    # _suppress reads them; row 0 carries the last row of the strip before
-    bins = np.zeros((span + 1, w), dtype=np.int8)
-    # rows [lo, hi) have both neighbor rows in the band or on the zero border
-    lo, hi = start + (start > 1), stop - (stop < h - 1)
-    seams = []
     y = start
     for block in blocks:
         n, width = len(block) - 2, block.shape[1]
@@ -522,18 +510,8 @@ def _edge_band(blocks: Iterator[np.ndarray], mag: np.ndarray, keep: np.ndarray,
         gx, gy = (g[: n * width].reshape(n, width)[:, : w - 2] for g in (gx_buf, gy_buf))
         np.hypot(gx, gy, out=mag[y : y + n, 1 : w - 1])
         _direction_bins(gx_buf[:size], gy_buf[:size], dirs[:size])
-        bins[1 : n + 1, : w - 2] = dirs[: n * width].reshape(n, width)[:, : w - 2]
-        if y == start and lo > start:
-            seams.append((start, bins[1].copy()))
-        if y + n == stop and hi < stop:
-            seams.append((stop - 1, bins[n].copy()))
-        # every row before the strip's last now has the magnitude of the row
-        # after it; at the band's end, so has its last row unless a seam
-        first, last = max(y - 1, lo), y + n - 1 if y + n < stop else hi
-        _suppress(mag, keep, first, bins[first - y + 1 : last - y + 1], votes)
-        bins[0] = bins[n]
+        bins[y : y + n, : w - 2] = dirs[: n * width].reshape(n, width)[:, : w - 2]
         y += n
-    return seams
 
 
 def _gradients(strips: Callable[[int, int], Iterator[np.ndarray]], h: int,
@@ -542,23 +520,28 @@ def _gradients(strips: Callable[[int, int], Iterator[np.ndarray]], h: int,
     interior pixels that non-maximum suppression keeps, of the h x w plane
     whose rows [a, b) ``strips(a, b)`` yields as consecutive strips, each
     after the first led by the two rows before it, in the layout
-    ``_edge_band`` takes.  The interior rows run in
-    bands, and the rows at band seams are suppressed after the join."""
+    ``_edge_band`` takes.  The interior rows run in bands twice: Sobel and
+    the direction bins first, then, once every row has its magnitude,
+    suppression a strip at a time."""
     mag = np.zeros((h, w), dtype=np.float64)
     keep = np.zeros((h, w), dtype=bool)
     if h > 2 and w > 2:
-        def band(start: int, stop: int) -> list[tuple[int, np.ndarray]]:
-            return _edge_band(strips(start - 1, stop + 1), mag, keep, start, stop)
+        bins = np.empty((h, w), dtype=np.int8)
+        _in_bands(lambda a, b: _edge_band(strips(a - 1, b + 1), mag, bins, a, b), 1, h - 1)
 
-        for seams in _in_bands(band, 1, h - 1):
-            for y, bins in seams:
-                _suppress(mag, keep, y, bins[None], np.empty((3, 4, w - 2), dtype=bool))
+        def suppress(start: int, stop: int) -> None:
+            votes = np.empty((3, 4, min(_STRIP_ROWS, stop - start) * w), dtype=bool)
+            for y in range(start, stop, _STRIP_ROWS):
+                _suppress(mag, keep, y, bins[y : min(y + _STRIP_ROWS, stop)], votes)
+
+        _in_bands(suppress, 1, h - 1)
     return mag, keep
 
 
 def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
-    """Mask of the weak pixels whose 8-connected component of weak pixels
-    holds a strong one; ``strong`` must be a subset of ``weak``.
+    """Mark in ``strong``, a C-contiguous subset of ``weak``, the weak pixels
+    whose 8-connected component of weak pixels holds a strong one, and return
+    it; both masks must be False on the one-pixel border.
 
     Strong pixels are kept outright.  A weak-only pixel is kept iff its
     8-connected component of weak-only pixels has a pixel with a strong
@@ -566,26 +549,24 @@ def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
     to its first strong one, and the last of those touches it.
 
     The weak-only components come from a vectorized union-find over flat
-    indices into the plane framed by one False pixel: each round hooks the
-    larger of two adjacent roots to the smaller, then pointer-jumps until
-    every node points at its root.  Parent ids only ever fall, so it
-    terminates.
+    indices into the plane: each round hooks the larger of two adjacent
+    roots to the smaller, then pointer-jumps until every node points at its
+    root.  Parent ids only ever fall, so it terminates.
     """
     w = weak.shape[1]
-    edges = np.pad(strong, 1)
-    kept = edges.ravel()  # a view, so marking it marks edges
-    only = np.pad(weak & ~strong, 1).ravel()
+    kept = strong.reshape(-1)  # a view, so marking it marks strong
+    only = (weak & ~strong).reshape(-1)
     nodes = np.flatnonzero(only)
     n = len(nodes)
     if n == 0:
-        return edges[1:-1, 1:-1]
+        return strong
     ids = np.full(only.shape, -1, dtype=np.int32)
     ids[nodes] = np.arange(n, dtype=np.int32)
     firsts, seconds = [], []
     seeded = np.zeros(n, dtype=bool)  # has a strong neighbor
     for dr, dc in _FORWARD_STEPS:
-        # the frame keeps every neighbor index of a node inside the plane
-        off = dr * (w + 2) + dc
+        # the False border keeps every neighbor index of a node inside the plane
+        off = dr * w + dc
         ahead = nodes + off
         both = only[ahead]
         firsts.append(np.flatnonzero(both).astype(np.int32))
@@ -614,7 +595,7 @@ def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
     anchored = np.zeros(n, dtype=bool)
     anchored[parent[seeded]] = True
     kept[nodes[anchored[parent]]] = True
-    return edges[1:-1, 1:-1]
+    return strong
 
 
 DEFAULT_CANNY_SIGMA = 1.4
